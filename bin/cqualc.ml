@@ -447,14 +447,16 @@ let cache_dir =
     & opt (some string) None
     & info [ "cache" ] ~docv:"DIR"
         ~doc:
-          "Persist analysis results (parsed ASTs, per-SCC constraint \
-           schemes, whole-run reports) under $(docv), and reuse any entry \
-           whose full verification chain — format, version, lattice, \
-           content hash, dependency interface hashes, payload checksum — \
-           still holds. Anything else is re-inferred cold, so reports are \
-           byte-identical with or without a cache. Safe under concurrent \
-           invocations; cache I/O trouble warns once and the run continues \
-           uncached. See $(b,--stats) for hit/miss/reject counts.")
+          "Persist analysis results under $(docv) in two tiers: whole-run \
+           reports, and an AST tier of parsed translation units, so an \
+           edit re-parses only the edited files before the analysis runs \
+           as without a cache. An entry is reused only while its full \
+           verification chain — format, version, lattice, content hash, \
+           payload checksum — still holds; anything else is recomputed \
+           cold, so reports are byte-identical with or without a cache. \
+           Safe under concurrent invocations; cache I/O trouble warns once \
+           and the run continues uncached. See $(b,--stats) for \
+           hit/miss/reject counts.")
 
 let gc =
   Arg.(

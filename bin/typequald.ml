@@ -2,8 +2,10 @@
    Session and serves position-level queries over newline-delimited
    JSON-RPC — on stdin/stdout by default, or on a Unix socket with
    --socket (any number of concurrent clients). Clean units are never
-   re-parsed and clean SCCs never re-solved across edits: an "update"
-   dirties exactly the edit's dependency cone.
+   re-parsed across edits: after an "update", the next query re-parses
+   the edited unit, then links and analyzes the program as cqualc does.
+   The "stats" method's memo_hits/memo_misses count the per-unit AST
+   memo.
 
    Methods (params in braces; "mode" is always optional, defaulting to
    --mode): units, update {name, source}, remove {name}, run {mode},

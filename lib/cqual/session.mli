@@ -106,7 +106,6 @@ val analyze :
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->
-  ?cache:Analysis.cache_ctx ->
   Analysis.mode ->
   Cfront.Cprog.t ->
   Analysis.env * Report.results * float
@@ -129,7 +128,6 @@ val finish :
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
   ?jobs:int ->
-  ?cache:Analysis.cache_ctx ->
   ?locate:(string -> int -> string * int) ->
   Analysis.mode ->
   compiled ->
@@ -233,10 +231,10 @@ val table2_row : name:string -> string -> row
 type t
 (** A persistent analysis session over a set of named translation
     units. Derived stages (linked program, solved stores, reports) are
-    dropped on any unit edit, but two content-addressed warm tiers
-    survive: the per-unit AST memo and the per-SCC scheme memo — so
-    re-running after an edit replays everything outside the edit's
-    dependency cone instead of recomputing it. *)
+    dropped on any unit edit; the content-addressed per-unit AST memo
+    survives. Re-running after an edit therefore costs one parse per
+    edited unit, the link, and the same serial analysis a batch
+    [cqualc] run performs (parallel under [jobs > 1]). *)
 
 val create :
   ?rules:Analysis.qrules ->
@@ -247,7 +245,6 @@ val create :
   ?max_errors:int ->
   ?jobs:int ->
   ?cache:cache_spec ->
-  ?opts_id:string ->
   (string * string) list ->
   t
 (** [create units] builds a session over [(name, source)] pairs.
@@ -264,17 +261,17 @@ val default_mode : t -> Analysis.mode
 val update_unit : t -> string -> string -> [ `Added | `Updated | `Unchanged ]
 (** [update_unit t name src] replaces (or appends) one unit's source.
     [`Unchanged] (same content digest) invalidates nothing; otherwise
-    all derived stages are dropped and the next run recomputes exactly
-    the edit's cone, replaying the rest from the warm memos. *)
+    all derived stages are dropped, and the next run re-parses only this
+    unit (every other unit's AST comes from the memo), then links and
+    analyzes the whole program afresh. *)
 
 val remove_unit : t -> string -> bool
 (** Remove a unit; [false] if it was not present. *)
 
 val run : ?mode:Analysis.mode -> t -> run
 (** Analyze the current units under [mode] (default: the session's).
-    Warm: repeated calls return the computed state; after an edit, clean
-    units replay from the AST memo and clean SCCs from the scheme
-    memo. *)
+    Repeated calls return the computed state; after an edit, clean units
+    replay from the AST memo and the analysis runs as in batch. *)
 
 val diagnostics : t -> Cfront.Diag.t list
 (** Frontend diagnostics for the current units (mode-independent). *)
@@ -348,8 +345,12 @@ val whatif :
 type session_stats = {
   ss_units : int;
   ss_modes : string list;  (** warm (already analyzed) modes *)
-  ss_memo_hits : int;  (** per-SCC scheme memo *)
+  ss_memo_hits : int;
+      (** per-unit AST memo hits: units whose parse was reused, summed
+          over every compile of the session's life *)
   ss_memo_misses : int;
+      (** per-unit AST memo misses: units that had to be lexed and parsed
+          (on a cold session, every unit) *)
   ss_cache : Typequal.Cache.stats option;  (** disk tiers, when attached *)
 }
 

@@ -110,18 +110,33 @@ let test_unchanged_is_noop () =
   Alcotest.(check bool) "run is not recomputed (physically equal)" true
     (r1 == r2)
 
+(* a one-unit edit re-parses exactly that unit: every other unit's AST
+   comes from the memo, and the result still renders as a cold session *)
 let test_memo_survives_edit () =
   let t = Session.create clean_units in
   ignore (Session.run t);
+  let s0 = Session.stats t in
+  Alcotest.(check (pair int int))
+    "cold run parses every unit"
+    (0, List.length clean_units)
+    (s0.Session.ss_memo_hits, s0.Session.ss_memo_misses);
   let a0 = List.assoc "proj_a.c" clean_units in
+  let edited =
+    update_assoc clean_units "proj_a.c"
+      (a0 ^ "int proj_a_extra(int x) { return x + 1; }\n")
+  in
   ignore
-    (Session.update_unit t "proj_a.c"
-       (a0 ^ "int proj_a_extra(int x) { return x + 1; }\n"));
+    (Session.update_unit t "proj_a.c" (List.assoc "proj_a.c" edited));
   ignore (Session.run t);
-  let s = Session.stats t in
-  Alcotest.(check bool)
-    "clean SCCs replay from the scheme memo" true
-    (s.Session.ss_memo_hits > 0)
+  let s1 = Session.stats t in
+  Alcotest.(check (pair int int))
+    "edit: one miss, every other unit hits"
+    (List.length clean_units - 1, 1)
+    ( s1.Session.ss_memo_hits - s0.Session.ss_memo_hits,
+      s1.Session.ss_memo_misses - s0.Session.ss_memo_misses );
+  Alcotest.(check string)
+    "edited render = cold render" (fst (cold_snapshot edited))
+    (fst (snapshot t))
 
 let test_remove_unit () =
   let t = Session.create clean_units in
@@ -314,7 +329,7 @@ let tests =
       test_replay_broken_par;
     Alcotest.test_case "unchanged update invalidates nothing" `Quick
       test_unchanged_is_noop;
-    Alcotest.test_case "scheme memo survives an edit" `Quick
+    Alcotest.test_case "AST memo survives an edit" `Quick
       test_memo_survives_edit;
     Alcotest.test_case "remove_unit keeps link order" `Quick test_remove_unit;
     Alcotest.test_case "canonical and structural keys agree" `Quick
