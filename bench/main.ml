@@ -3,7 +3,7 @@
    scaling/overhead claims of the text and the ablations of DESIGN.md.
 
    Sections (run all by default, or select: table1 table2 figure6 scaling
-   parallel compaction lattice ablation solver extensions micro):
+   compaction lattice ablation solver extensions micro):
 
      table1  — the benchmark suite (paper Table 1)
      table2  — compile/mono/poly times (avg of 5, like the paper) and
@@ -12,14 +12,12 @@
                Poly-added / Other per benchmark (Figure 6), plus CSV
      scaling — inference time vs program size; checks "scales roughly
                linearly" and "polymorphic at most 3x monomorphic"
-     parallel— the multicore wavefront engine at 1/2/4 domains on a
-               32-kloc workload; writes BENCH_parallel.json
      compaction — scheme compaction + instantiation memoization on vs
-               off (poly/polyrec, serial and --jobs 4) on a 32-kloc
+               off (poly/polyrec) on a 32-kloc
                chain-heavy workload; writes BENCH_compaction.json
      lattice — const analysis in the default two-point space vs the same
                rules hosted next to an unconstrained three-level chain
-               (user-defined lattice), jobs 1 and 4; asserts identical
+               (user-defined lattice); asserts identical
                verdicts and writes BENCH_lattice.json
      ablation— (a) unsound covariant ref vs (SubRef); (b) struct field
                sharing off; (c) worklist vs naive solver
@@ -40,8 +38,7 @@
                a byte-identical report; writes BENCH_cache.json.
                TYPEQUAL_CACHE_LINES overrides the line target.
      scale   — the flat-arena push: a 1M+ line multi-file project analyzed
-               at jobs 1/2/4/8 (wall time, peak heap, solver counters,
-               serial-vs-parallel report digest), plus an arena-vs-
+               (wall time, peak heap, solver counters), plus an arena-vs-
                pre-arena solver core ablation sized to the 32-kloc
                workloads; writes BENCH_scale.json. Only runs when named
                explicitly (or under "all") — the corpus is large.
@@ -148,7 +145,6 @@ let jstats (s : TS.stats) =
       ("memo_misses", ji s.TS.memo_misses);
       ("memo_reject_nonflat_ret", ji s.TS.memo_reject_nonflat_ret);
       ("memo_reject_may_violate", ji s.TS.memo_reject_may_violate);
-      ("empty_batches_skipped", ji s.TS.empty_batches_skipped);
       ("heap_words", ji s.TS.heap_words);
       ("top_heap_words", ji s.TS.top_heap_words);
       ("cores_available", ji s.TS.cores_available);
@@ -266,8 +262,8 @@ let table2_rows ?(runs = 5) () : t2row list =
     List.map
       (fun (b : Cbench.Suite.bench) ->
         let src = Cbench.Suite.source_of b in
-        let compile_s = time_avg runs (fun () -> Driver.compile src) in
-        let prog = Driver.compile src in
+        let compile_s = time_avg runs (fun () -> Session.compile src) in
+        let prog = Session.compile src in
         let mono_s =
           time_avg runs (fun () ->
               let env, ifaces = Analysis.run Analysis.Mono prog in
@@ -422,7 +418,7 @@ let scaling () =
     List.map
       (fun n ->
         let src = Cbench.Gen.generate ~seed:(1000 + n) ~target_lines:n () in
-        let prog = Driver.compile src in
+        let prog = Session.compile src in
         let nfun = List.length (Cfront.Cprog.functions prog) in
         let mono_s =
           time_avg 3 (fun () ->
@@ -498,24 +494,24 @@ let ablation () =
      void f(struct buf *x, const char *s) { x->data = s; }\n\
      void g(struct buf *y) { *(y->data) = 'c'; }"
   in
-  let with_sharing = Driver.run_source ~mode:Analysis.Mono shared_conflict in
+  let with_sharing = Session.run_source ~mode:Analysis.Mono shared_conflict in
   let without =
-    Driver.run_source ~mode:Analysis.Mono ~field_sharing:false shared_conflict
+    Session.run_source ~mode:Analysis.Mono ~field_sharing:false shared_conflict
   in
   Fmt.pr
     "    conflicting uses of one struct type: sharing detects %d error(s), \
      no-sharing misses it (%d errors)@."
-    with_sharing.Driver.results.Report.type_errors
-    without.Driver.results.Report.type_errors;
+    with_sharing.Session.results.Report.type_errors
+    without.Session.results.Report.type_errors;
   let b = List.nth Cbench.Suite.table1 2 in
   let src = Cbench.Suite.source_of b in
-  let on = Driver.run_source ~mode:Analysis.Mono src in
-  let off = Driver.run_source ~mode:Analysis.Mono ~field_sharing:false src in
+  let on = Session.run_source ~mode:Analysis.Mono src in
+  let off = Session.run_source ~mode:Analysis.Mono ~field_sharing:false src in
   Fmt.pr
     "    %s possible consts: sharing=%d, no-sharing=%d (no-sharing is \
      unsound, not more precise)@."
-    b.b_name on.Driver.results.Report.possible
-    off.Driver.results.Report.possible;
+    b.b_name on.Session.results.Report.possible
+    off.Session.results.Report.possible;
 
   (* (c) worklist vs naive solver *)
   Fmt.pr "@.(c) solver: worklist propagation vs naive round-robin@.";
@@ -679,7 +675,7 @@ let micro () =
   let open Bechamel in
   let open Toolkit in
   let src = Cbench.Gen.generate ~seed:99 ~target_lines:2000 () in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let module S = Typequal.Solver in
   let sp = Analysis.const_space in
   let solver_input =
@@ -701,7 +697,7 @@ let micro () =
         Test.make ~name:"solver-naive-5k"
           (Staged.stage (fun () -> S.solve_least_naive solver_input));
         Test.make ~name:"parse-2kloc"
-          (Staged.stage (fun () -> ignore (Driver.compile src)));
+          (Staged.stage (fun () -> ignore (Session.compile src)));
         Test.make ~name:"mono-infer-2kloc"
           (Staged.stage (fun () ->
                let env, ifaces = Analysis.run Analysis.Mono prog in
@@ -747,88 +743,6 @@ let micro () =
   record_section "micro" (Jlist (List.rev !jrows))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel analysis: the multicore wavefront engine at 1/2/4 domains   *)
-(* ------------------------------------------------------------------ *)
-
-let parallel () =
-  Fmt.pr "@.=== Parallel analysis: wavefront engine at 1/2/4 domains ===@.";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "cores available: %d%s@." cores
-    (if cores < 2 then
-       " (single-core machine: no speedup is possible; this measures \
-        overhead and checks determinism)"
-     else "");
-  let lines = 32000 in
-  let src = Cbench.Gen.generate ~seed:(1000 + lines) ~target_lines:lines () in
-  let t0 = Unix.gettimeofday () in
-  let prog = Driver.compile src in
-  let t_compile_s = Unix.gettimeofday () -. t0 in
-  let fdg = Fdg.build prog in
-  Fmt.pr
-    "workload: %d lines, %d functions, %d sccs (largest %d), wavefront \
-     width %d@.@."
-    lines
-    (List.length (Cfront.Cprog.functions prog))
-    (Fdg.scc_count fdg) (Fdg.largest_scc fdg) (Fdg.wavefront_width fdg);
-  Fmt.pr "(timings are the best of 3 runs per mode/jobs cell)@.";
-  Fmt.pr "%-6s %5s %12s %9s %10s %10s %9s@." "mode" "jobs" "analyze(s)"
-    "speedup" "gen(s)" "merge(s)" "possible";
-  let jrows = ref [] in
-  List.iter
-    (fun (mname, mode) ->
-      let base = ref nan in
-      List.iter
-        (fun jobs ->
-          let analyze_s =
-            time_best 3 (fun () ->
-                let env, ifaces = Analysis.run ~jobs mode prog in
-                Report.measure env ifaces)
-          in
-          let env, ifaces = Analysis.run ~jobs mode prog in
-          let r = Report.measure env ifaces in
-          if jobs = 1 then base := analyze_s;
-          let gen_s, merge_s =
-            match env.Analysis.par with
-            | Some p -> (p.Analysis.ps_gen_s, p.Analysis.ps_merge_s)
-            | None -> (0., 0.)
-          in
-          Fmt.pr "%-6s %5d %12.3f %8.2fx %10.3f %10.3f %9d@." mname jobs
-            analyze_s (!base /. analyze_s) gen_s merge_s r.Report.possible;
-          jrows :=
-            Jobj
-              [
-                ("mode", Jstr mname);
-                ("jobs", ji jobs);
-                ("analyze_s", jf analyze_s);
-                ("speedup_vs_serial", jf (!base /. analyze_s));
-                ("generate_s", jf gen_s);
-                ("merge_s", jf merge_s);
-                ("possible", ji r.Report.possible);
-                ("type_errors", ji r.Report.type_errors);
-                ("solver", jstats (Analysis.stats env));
-              ]
-            :: !jrows)
-        [ 1; 2; 4 ])
-    [ ("mono", Analysis.Mono); ("poly", Analysis.Poly) ];
-  let buf = Buffer.create 2048 in
-  pp_json buf
-    (Jobj
-       [
-         ("paper", Jstr "A Theory of Type Qualifiers (PLDI 1999)");
-         ("env", jenv ());
-         ("cores_available", ji cores);
-         ("timing", Jstr "best_of_3");
-         ("workload_lines", ji lines);
-         ("t_compile_s", jf t_compile_s);
-         ("runs", Jlist (List.rev !jrows));
-       ]);
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Buffer.contents buf);
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "@.wrote BENCH_parallel.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Scheme compaction: compaction + instantiation memo on vs off        *)
 (* ------------------------------------------------------------------ *)
 
@@ -859,61 +773,53 @@ let compaction () =
     List.map
       (fun (wname, src) ->
         let t0 = Unix.gettimeofday () in
-        let prog = Driver.compile src in
+        let prog = Session.compile src in
         let t_compile_s = Unix.gettimeofday () -. t0 in
         Fmt.pr "@.workload %s: %d lines, %d functions@." wname
           (Cfront.Cprog.count_lines src)
           (List.length (Cfront.Cprog.functions prog));
-        Fmt.pr "%-8s %8s %5s %12s %12s %18s %10s %9s@." "mode" "compact"
-          "jobs" "analyze(s)" "vars" "scheme vars" "memo" "possible";
+        Fmt.pr "%-8s %8s %12s %12s %18s %10s %9s@." "mode" "compact"
+          "analyze(s)" "vars" "scheme vars" "memo" "possible";
         let jrows = ref [] in
         let cells = ref [] in
         List.iter
           (fun (mname, mode) ->
             List.iter
               (fun compact ->
-                List.iter
-                  (fun jobs ->
-                    let t0 = Unix.gettimeofday () in
-                    let env, ifaces = Analysis.run ~compact ~jobs mode prog in
-                    let r = Report.measure env ifaces in
-                    let dt = Unix.gettimeofday () -. t0 in
-                    let st = Analysis.stats env in
-                    cells := (mname, compact, jobs, dt, st, r) :: !cells;
-                    Fmt.pr "%-8s %8s %5d %12.3f %12d %8d -> %7d %10d %9d@."
-                      mname
-                      (if compact then "on" else "off")
-                      jobs dt st.TS.vars_created st.TS.scheme_vars_before
-                      st.TS.scheme_vars_after st.TS.instantiations_memo_hits
-                      r.Report.possible;
-                    jrows :=
-                      Jobj
-                        [
-                          ("mode", Jstr mname);
-                          ("compact", jb compact);
-                          ("jobs", ji jobs);
-                          ("analyze_s", jf dt);
-                          ("possible", ji r.Report.possible);
-                          ("type_errors", ji r.Report.type_errors);
-                          ("solver", jstats st);
-                        ]
-                      :: !jrows)
-                  [ 1; 4 ])
+                let t0 = Unix.gettimeofday () in
+                let env, ifaces = Analysis.run ~compact mode prog in
+                let r = Report.measure env ifaces in
+                let dt = Unix.gettimeofday () -. t0 in
+                let st = Analysis.stats env in
+                cells := (mname, compact, dt, st, r) :: !cells;
+                Fmt.pr "%-8s %8s %12.3f %12d %8d -> %7d %10d %9d@." mname
+                  (if compact then "on" else "off")
+                  dt st.TS.vars_created st.TS.scheme_vars_before
+                  st.TS.scheme_vars_after st.TS.instantiations_memo_hits
+                  r.Report.possible;
+                jrows :=
+                  Jobj
+                    [
+                      ("mode", Jstr mname);
+                      ("compact", jb compact);
+                      ("analyze_s", jf dt);
+                      ("possible", ji r.Report.possible);
+                      ("type_errors", ji r.Report.type_errors);
+                      ("solver", jstats st);
+                    ]
+                  :: !jrows)
               [ true; false ])
           [ ("poly", Analysis.Poly); ("polyrec", Analysis.Polyrec) ];
-        (* every (mode, jobs) cell must report identically on vs off *)
+        (* every mode must report identically on vs off *)
         List.iter
-          (fun (mname, compact, jobs, _, _, (r : Report.results)) ->
+          (fun (mname, compact, _, _, (r : Report.results)) ->
             if compact then
-              let _, _, _, _, _, r' =
-                List.find
-                  (fun (m, c, j, _, _, _) ->
-                    m = mname && (not c) && j = jobs)
-                  !cells
+              let _, _, _, _, r' =
+                List.find (fun (m, c, _, _, _) -> m = mname && not c) !cells
               in
               check
-                (Printf.sprintf "%s/%s/jobs=%d: reports identical on vs off"
-                   wname mname jobs)
+                (Printf.sprintf "%s/%s: reports identical on vs off" wname
+                   mname)
                 (r.Report.possible = r'.Report.possible
                 && r.Report.type_errors = r'.Report.type_errors)
                 (Printf.sprintf " (possible %d vs %d, errors %d vs %d)"
@@ -922,10 +828,8 @@ let compaction () =
           !cells;
         (* measured variable reduction, the headline figure *)
         let vars_of mname compact =
-          let _, _, _, _, (st : TS.stats), _ =
-            List.find
-              (fun (m, c, j, _, _, _) -> m = mname && c = compact && j = 1)
-              !cells
+          let _, _, _, (st : TS.stats), _ =
+            List.find (fun (m, c, _, _, _) -> m = mname && c = compact) !cells
           in
           st.TS.vars_created
         in
@@ -1000,7 +904,7 @@ let lattice () =
   let lines = 32000 in
   let src = Cbench.Gen.generate ~seed:(1000 + lines) ~target_lines:lines () in
   let t0 = Unix.gettimeofday () in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let t_compile_s = Unix.gettimeofday () -. t0 in
   let module Q = Typequal.Qualifier in
   let wide_rules =
@@ -1016,52 +920,44 @@ let lattice () =
     "hosted next to an unconstrained 3-level chain (2 extra bits per \
      element)@.";
   Fmt.pr "(timings are the best of 3 runs per cell)@.@.";
-  Fmt.pr "%-12s %5s %12s %10s %9s %7s@." "space" "jobs" "analyze(s)"
-    "overhead" "possible" "errors";
+  Fmt.pr "%-12s %12s %10s %9s %7s@." "space" "analyze(s)" "overhead"
+    "possible" "errors";
   let jrows = ref [] in
-  let base = Hashtbl.create 4 in
+  let base = ref nan in
   let counts = ref None in
   let ok = ref true in
   List.iter
     (fun (sname, rules) ->
-      List.iter
-        (fun jobs ->
-          let analyze_s =
-            time_best 3 (fun () ->
-                let env, ifaces = Analysis.run ~rules ~jobs Analysis.Mono prog in
-                Report.measure env ifaces)
-          in
-          let env, ifaces = Analysis.run ~rules ~jobs Analysis.Mono prog in
-          let r = Report.measure env ifaces in
-          if sname = "two_point" then Hashtbl.replace base jobs analyze_s;
-          let overhead =
-            analyze_s /. (try Hashtbl.find base jobs with Not_found -> nan)
-          in
-          (* the verdicts must not depend on the hosting space or on jobs *)
-          let c = (r.Report.total, r.Report.possible, r.Report.type_errors) in
-          (match !counts with
-          | None -> counts := Some c
-          | Some c0 -> if c <> c0 then ok := false);
-          Fmt.pr "%-12s %5d %12.3f %9.2fx %9d %7d@." sname jobs analyze_s
-            overhead r.Report.possible r.Report.type_errors;
-          jrows :=
-            Jobj
-              [
-                ("space", Jstr sname);
-                ("jobs", ji jobs);
-                ("analyze_s", jf analyze_s);
-                ("overhead_vs_two_point", jf overhead);
-                ("possible", ji r.Report.possible);
-                ("type_errors", ji r.Report.type_errors);
-                ("solver", jstats (Analysis.stats env));
-              ]
-            :: !jrows)
-        [ 1; 4 ])
+      let analyze_s =
+        time_best 3 (fun () ->
+            let env, ifaces = Analysis.run ~rules Analysis.Mono prog in
+            Report.measure env ifaces)
+      in
+      let env, ifaces = Analysis.run ~rules Analysis.Mono prog in
+      let r = Report.measure env ifaces in
+      if sname = "two_point" then base := analyze_s;
+      let overhead = analyze_s /. !base in
+      (* the verdicts must not depend on the hosting space *)
+      let c = (r.Report.total, r.Report.possible, r.Report.type_errors) in
+      (match !counts with
+      | None -> counts := Some c
+      | Some c0 -> if c <> c0 then ok := false);
+      Fmt.pr "%-12s %12.3f %9.2fx %9d %7d@." sname analyze_s overhead
+        r.Report.possible r.Report.type_errors;
+      jrows :=
+        Jobj
+          [
+            ("space", Jstr sname);
+            ("analyze_s", jf analyze_s);
+            ("overhead_vs_two_point", jf overhead);
+            ("possible", ji r.Report.possible);
+            ("type_errors", ji r.Report.type_errors);
+            ("solver", jstats (Analysis.stats env));
+          ]
+        :: !jrows)
     [ ("two_point", Analysis.const_rules); ("three_level", wide_rules) ];
-  if not !ok then
-    failwith "lattice bench: verdicts differ across spaces or job counts";
-  Fmt.pr "@.(verdicts identical across both spaces and both job counts — \
-          asserted)@.";
+  if not !ok then failwith "lattice bench: verdicts differ across spaces";
+  Fmt.pr "@.(verdicts identical across both spaces — asserted)@.";
   record_section "lattice" (Jlist (List.rev !jrows));
   let buf = Buffer.create 2048 in
   pp_json buf
@@ -1094,7 +990,7 @@ let extensions () =
   List.iter
     (fun (b : Cbench.Suite.bench) ->
       let src = Cbench.Suite.source_of b in
-      let prog = Driver.compile src in
+      let prog = Session.compile src in
       let run_once mode simplify =
         let t0 = Unix.gettimeofday () in
         let env, ifaces = Analysis.run ~simplify mode prog in
@@ -1228,8 +1124,8 @@ let ref_digest sp (st, v) =
   Buffer.contents b
 
 (* the user-visible report of a run, rendered to a string: identical
-   across job counts AND across --no-compact (compaction/memoization are
-   observationally invisible) *)
+   across --no-compact (compaction/memoization are observationally
+   invisible) *)
 let report_digest (r : Report.results) =
   let b = Buffer.create 4096 in
   List.iter
@@ -1243,7 +1139,8 @@ let report_digest (r : Report.results) =
   Buffer.contents b
 
 (* the report plus the structural solver counters (wall-clock and heap
-   fields excluded): must be identical across job counts *)
+   fields excluded): must be identical across job counts, frontends and
+   cache states *)
 let scale_digest (r : Report.results) (st : TS.stats) =
   let b = Buffer.create 4096 in
   Buffer.add_string b (report_digest r);
@@ -1256,12 +1153,6 @@ let scale_digest (r : Report.results) (st : TS.stats) =
 let scale () =
   Fmt.pr
     "@.=== Scale: flat-arena core, million-line multi-file project ===@.";
-  let cores = Typequal.Pool.cores_available () in
-  Fmt.pr "cores available: %d%s@." cores
-    (if cores < 2 then
-       " (single-core machine: jobs rows measure overhead, not speedup)"
-     else "");
-
   (* ---- the corpus ---- *)
   let b = List.hd Cbench.Suite.scale in
   let target =
@@ -1276,9 +1167,9 @@ let scale () =
   in
   let gen_s = Unix.gettimeofday () -. t0 in
   let lines = Cbench.Gen.project_lines files in
-  let src = Driver.concat_sources files in
+  let src = Session.concat_sources files in
   let t0 = Unix.gettimeofday () in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let compile_s = Unix.gettimeofday () -. t0 in
   let nfun = List.length (Cfront.Cprog.functions prog) in
   let fdg = Fdg.build prog in
@@ -1289,83 +1180,34 @@ let scale () =
     (Fdg.scc_count fdg) (Fdg.largest_scc fdg) (Fdg.wavefront_width fdg);
   Fmt.pr "generate %.2fs, parse %.2fs@.@." gen_s compile_s;
 
-  (* ---- jobs sweep: wall time, peak heap, counters, digest ---- *)
-  Fmt.pr "%-5s %11s %9s %14s %12s %9s@." "jobs" "analyze(s)" "speedup"
-    "top_heap(Mw)" "vars" "possible";
-  let jrows = ref [] in
-  let digests = ref [] in
-  let base = ref nan in
-  List.iter
-    (fun jobs ->
-      (* honesty: a jobs-N wall time on a host with fewer than N cores
-         measures scheduler contention, not speedup — record the row as
-         skipped with the reason instead of publishing a fake number *)
-      let cores_ok = cores >= jobs in
-      if (not cores_ok) && jobs > 1 then begin
-        let reason =
-          Printf.sprintf
-            "host has %d core%s; a jobs-%d row would measure contention, \
-             not speedup"
-            cores
-            (if cores = 1 then "" else "s")
-            jobs
-        in
-        Fmt.pr "%-5d %11s  skipped: %s@." jobs "-" reason;
-        jrows :=
-          Jobj
-            [
-              ("jobs", ji jobs);
-              ("cores_available", ji cores);
-              ("cores_ok", jb false);
-              ("skipped", jb true);
-              ("reason", Jstr reason);
-            ]
-          :: !jrows
-      end
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let env, ifaces = Analysis.run ~jobs Analysis.Poly prog in
-        let r = Report.measure env ifaces in
-        let analyze_s = Unix.gettimeofday () -. t0 in
-        if jobs = 1 then base := analyze_s;
-        let st = Analysis.stats env in
-        digests := (jobs, scale_digest r st) :: !digests;
-        Fmt.pr "%-5d %11.3f %8.2fx %14.1f %12d %9d@." jobs analyze_s
-          (!base /. analyze_s)
-          (float st.TS.top_heap_words /. 1e6)
-          st.TS.vars_created r.Report.possible;
-        jrows :=
-          Jobj
-            [
-              ("jobs", ji jobs);
-              ("cores_available", ji cores);
-              ("cores_ok", jb cores_ok);
-              ("skipped", jb false);
-              ("analyze_s", jf analyze_s);
-              ("speedup_vs_serial", jf (!base /. analyze_s));
-              ("possible", ji r.Report.possible);
-              ("type_errors", ji r.Report.type_errors);
-              ("solver", jstats st);
-            ]
-          :: !jrows
-      end)
-    [ 1; 2; 4; 8 ];
+  (* ---- the analysis: wall time, peak heap, counters ---- *)
+  Fmt.pr "%11s %14s %12s %9s@." "analyze(s)" "top_heap(Mw)" "vars"
+    "possible";
+  let t0 = Unix.gettimeofday () in
+  let env, ifaces = Analysis.run Analysis.Poly prog in
+  let r = Report.measure env ifaces in
+  let analyze_s = Unix.gettimeofday () -. t0 in
+  let st = Analysis.stats env in
+  Fmt.pr "%11.3f %14.1f %12d %9d@." analyze_s
+    (float st.TS.top_heap_words /. 1e6)
+    st.TS.vars_created r.Report.possible;
+  let run_row =
+    Jobj
+      [
+        ("analyze_s", jf analyze_s);
+        ("possible", ji r.Report.possible);
+        ("type_errors", ji r.Report.type_errors);
+        ("solver", jstats st);
+      ]
+  in
   let ok = ref true in
   let check name cond detail =
     Fmt.pr "  [%s] %s%s@." (if cond then "ok" else "FAIL") name detail;
     if not cond then ok := false
   in
-  let d1 = List.assoc 1 !digests in
-  List.iter
-    (fun (jobs, d) ->
-      if jobs <> 1 then
-        check
-          (Printf.sprintf "report at jobs=%d byte-identical to serial" jobs)
-          (d = d1) "")
-    !digests;
 
   (* ---- ablation: arena core vs the pre-arena (PR 5) store ---- *)
-  (* sized to the 32-kloc workloads of the parallel/compaction sections:
+  (* sized to the 32-kloc workloads of the compaction/lattice sections:
      a 32-kloc poly analysis creates ~1 qualifier variable per line *)
   Fmt.pr "@.--- ablation: flat arena vs pre-arena solver core ---@.";
   let sp = Analysis.const_space in
@@ -1381,7 +1223,7 @@ let scale () =
   Fmt.pr "arena %.4fs, pre-arena %.4fs: %.2fx@." arena_s ref_s
     (ref_s /. arena_s);
   check "ablation: counters and solutions byte-identical" (da = dr) "";
-  check "ablation: arena >= 2x faster at jobs=1"
+  check "ablation: arena >= 2x faster"
     (ref_s /. arena_s >= 2.)
     (Printf.sprintf " measured %.2fx" (ref_s /. arena_s));
   Fmt.pr "%s@."
@@ -1402,8 +1244,7 @@ let scale () =
          ("compile_s", jf compile_s);
          ("t_compile_s", jf compile_s);
          ("mode", Jstr "poly");
-         ("runs", Jlist (List.rev !jrows));
-         ("reports_identical_across_jobs", jb (List.for_all (fun (_, d) -> d = d1) !digests));
+         ("runs", Jlist [ run_row ]);
          ( "ablation",
            Jobj
              [
@@ -1426,16 +1267,16 @@ let scale () =
 (* ------------------------------------------------------------------ *)
 (* Hot path: per-phase wall-time breakdown (congen / generalize /      *)
 (* compact / instantiate / solve / absorb / report), the memo's hit    *)
-(* and rejection counters, and the compact/no-compact and jobs-1/4     *)
-(* parity checks — on the CI-sized multi-file corpus by default        *)
+(* and rejection counters, and the compact/no-compact parity check —   *)
+(* on the CI-sized multi-file corpus by default                        *)
 (* (TYPEQUAL_HOTPATH_CORPUS=mega for the million-line one,             *)
 (* TYPEQUAL_HOTPATH_LINES=N to resize). Writes BENCH_hotpath.json.     *)
 (* TYPEQUAL_HOTPATH_MAX_US_PER_LINE, when set (CI's perf-smoke soft    *)
-(* ceiling), fails the section if the serial compact run exceeds it.   *)
+(* ceiling), fails the section if the compact run exceeds it.          *)
 (* ------------------------------------------------------------------ *)
 
 let hotpath () =
-  Fmt.pr "@.=== Hot path: phase breakdown, memo, splice merge ===@.";
+  Fmt.pr "@.=== Hot path: phase breakdown, memo ===@.";
   let b =
     match Sys.getenv_opt "TYPEQUAL_HOTPATH_CORPUS" with
     | Some "mega" -> List.hd Cbench.Suite.scale
@@ -1452,7 +1293,7 @@ let hotpath () =
   in
   let lines = Cbench.Gen.project_lines files in
   let t0 = Unix.gettimeofday () in
-  let prog = Driver.compile (Driver.concat_sources files) in
+  let prog = Session.compile (Session.concat_sources files) in
   let t_compile_s = Unix.gettimeofday () -. t0 in
   let nfun = List.length (Cfront.Cprog.functions prog) in
   Fmt.pr "corpus %s: %d lines, %d functions@.@." b.Cbench.Suite.b_name lines
@@ -1460,9 +1301,9 @@ let hotpath () =
   (* one measured analysis per configuration; Report.measure is timed
      into the Report phase the way the CLI driver does it (minus the
      nested solve) *)
-  let run ~jobs ~compact =
+  let run ~compact =
     let t0 = Unix.gettimeofday () in
-    let env, ifaces = Analysis.run ~jobs ~compact Analysis.Poly prog in
+    let env, ifaces = Analysis.run ~compact Analysis.Poly prog in
     let st = env.Analysis.store in
     let t1 = Unix.gettimeofday () in
     let solve0 = (TS.stats st).TS.solve_s in
@@ -1472,27 +1313,23 @@ let hotpath () =
     TS.note_phase st TS.Report (Float.max 0. (t2 -. t1 -. solve_d));
     (t2 -. t0, r, Analysis.stats env)
   in
-  let configs = [ (1, true); (4, true); (1, false); (4, false) ] in
   let results =
-    List.map (fun (jobs, compact) -> ((jobs, compact), run ~jobs ~compact))
-      configs
+    List.map (fun compact -> (compact, run ~compact)) [ true; false ]
   in
-  Fmt.pr "%-14s %10s %8s %7s %7s %7s %7s %7s %7s %7s@." "config"
+  Fmt.pr "%-8s %10s %8s %7s %7s %7s %7s %7s %7s %7s@." "config"
     "analyze(s)" "us/line" "congen" "genrlz" "compct" "instnt" "solve"
     "absorb" "report";
   let rows = ref [] in
   List.iter
-    (fun ((jobs, compact), (t, _, st)) ->
+    (fun (compact, (t, _, st)) ->
       let upl = t *. 1e6 /. float lines in
-      Fmt.pr "jobs %d %-7s %10.3f %8.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f@."
-        jobs
+      Fmt.pr "%-8s %10.3f %8.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f %7.2f@."
         (if compact then "compact" else "nocmpct")
         t upl st.TS.congen_s st.TS.generalize_s st.TS.compact_s
         st.TS.instantiate_s st.TS.solve_s st.TS.absorb_s st.TS.report_s;
       rows :=
         Jobj
           [
-            ("jobs", ji jobs);
             ("compact", jb compact);
             ("analyze_s", jf t);
             ("us_per_line", jf upl);
@@ -1505,33 +1342,17 @@ let hotpath () =
     Fmt.pr "  [%s] %s%s@." (if cond then "ok" else "FAIL") name detail;
     if not cond then ok := false
   in
-  let t11, r11, s11 = List.assoc (1, true) results in
-  let _, r41, s41 = List.assoc (4, true) results in
-  let _, r10, _ = List.assoc (1, false) results in
-  let _, r40, _ = List.assoc (4, false) results in
+  let t_on, r_on, s_on = List.assoc true results in
+  let _, r_off, _ = List.assoc false results in
   Fmt.pr "@.";
-  check "report+counters at jobs=4 identical to serial"
-    (scale_digest r41 s41 = scale_digest r11 s11)
-    "";
-  check "--no-compact report identical (jobs 1)"
-    (report_digest r10 = report_digest r11)
-    "";
-  check "--no-compact report identical (jobs 4)"
-    (report_digest r40 = report_digest r11)
+  check "--no-compact report identical"
+    (report_digest r_off = report_digest r_on)
     "";
   check "instantiation memo fires at scale"
-    (s11.TS.instantiations_memo_hits > 0)
+    (s_on.TS.instantiations_memo_hits > 0)
     (Printf.sprintf " (%d hits / %d candidates)"
-       s11.TS.instantiations_memo_hits s11.TS.memo_candidates);
-  check "memo counters identical across jobs"
-    ((s11.TS.instantiations_memo_hits, s11.TS.memo_candidates,
-      s11.TS.memo_misses, s11.TS.memo_reject_nonflat_ret,
-      s11.TS.memo_reject_may_violate)
-    = (s41.TS.instantiations_memo_hits, s41.TS.memo_candidates,
-       s41.TS.memo_misses, s41.TS.memo_reject_nonflat_ret,
-       s41.TS.memo_reject_may_violate))
-    "";
-  let serial_upl = t11 *. 1e6 /. float lines in
+       s_on.TS.instantiations_memo_hits s_on.TS.memo_candidates);
+  let serial_upl = t_on *. 1e6 /. float lines in
   (match Sys.getenv_opt "TYPEQUAL_HOTPATH_MAX_US_PER_LINE" with
   | Some v -> (
       match float_of_string_opt v with
@@ -1599,20 +1420,20 @@ let cache_bench () =
     d
   in
   let open_cache () =
-    match Driver.open_cache ~opts_id:"bench" dir with
+    match Session.open_cache ~opts_id:"bench" dir with
     | Some cs -> cs
     | None -> failwith "cache bench: cannot open cache directory"
   in
-  let digest (r : Driver.run) =
-    scale_digest r.Driver.results r.Driver.solver_stats
+  let digest (r : Session.run) =
+    scale_digest r.Session.results r.Session.solver_stats
   in
   let compile_s = ref 0. in
   let timed_run files =
     let cs = open_cache () in
     let t0 = Unix.gettimeofday () in
-    let r = Driver.run_sources ~mode:Analysis.Poly ~cache:cs files in
-    compile_s := r.Driver.timing.Driver.t_compile;
-    (Unix.gettimeofday () -. t0, digest r, Cache.stats cs.Driver.cs_cache)
+    let r = Session.run_sources ~mode:Analysis.Poly ~cache:cs files in
+    compile_s := r.Session.timing.Session.t_compile;
+    (Unix.gettimeofday () -. t0, digest r, Cache.stats cs.Session.cs_cache)
   in
   let ok = ref true in
   let check name cond detail =
@@ -1625,7 +1446,7 @@ let cache_bench () =
   let t_cold, d_cold, st_cold = timed_run files in
   let t_compile_cold = !compile_s in
   Fmt.pr "cold  %.3fs (%d entries written)@." t_cold
-    (List.length (Cache.entry_files (open_cache ()).Driver.cs_cache));
+    (List.length (Cache.entry_files (open_cache ()).Session.cs_cache));
   let t_warm, d_warm, st_warm = timed_run files in
   Fmt.pr "warm  %.3fs: %.1fx (run-tier hits %d)@." t_warm (t_cold /. t_warm)
     st_warm.Cache.hits;
@@ -1658,7 +1479,7 @@ let cache_bench () =
       (fun p ->
         String.length (Filename.basename p) >= String.length prefix
         && String.sub (Filename.basename p) 0 (String.length prefix) = prefix)
-      (Cache.entry_files (open_cache ()).Driver.cs_cache)
+      (Cache.entry_files (open_cache ()).Session.cs_cache)
   in
   let jfaults = ref [] in
   let fault name cause corrupt =
@@ -1800,14 +1621,14 @@ let frontend_bench () =
   (* top_heap_words is a process-lifetime peak, so the lean path must be
      measured FIRST: if the concat compile then pushes the peak higher,
      the excess is attributable to the megastring pipeline *)
-  let co_pu = Driver.compile_sources ~frontend:Driver.Per_unit files in
+  let co_pu = Session.compile_sources ~frontend:Session.Per_unit files in
   let heap_pu = (Gc.quick_stat ()).Gc.top_heap_words in
-  let co_cc = Driver.compile_sources ~frontend:Driver.Concat files in
+  let co_cc = Session.compile_sources ~frontend:Session.Concat files in
   let heap_cc = (Gc.quick_stat ()).Gc.top_heap_words in
-  let t_pu = co_pu.Driver.co_t_compile in
-  let t_cc = co_cc.Driver.co_t_compile in
+  let t_pu = co_pu.Session.co_t_compile in
+  let t_cc = co_cc.Session.co_t_compile in
   let fs =
-    match co_pu.Driver.co_frontend with
+    match co_pu.Session.co_frontend with
     | Some fs -> fs
     | None -> assert false
   in
@@ -1817,21 +1638,21 @@ let frontend_bench () =
   Fmt.pr
     "per-unit phases: %d units, %d reparsed, lex %.3fs, parse %.3fs, build \
      %.3fs, link %.3fs@."
-    fs.Driver.fs_units fs.Driver.fs_reparsed fs.Driver.fs_lex_s
-    fs.Driver.fs_parse_s fs.Driver.fs_build_s fs.Driver.fs_link_s;
-  let co_pu4 = Driver.compile_sources ~frontend:Driver.Per_unit ~jobs:4 files in
-  let t_pu4 = co_pu4.Driver.co_t_compile in
+    fs.Session.fs_units fs.Session.fs_reparsed fs.Session.fs_lex_s
+    fs.Session.fs_parse_s fs.Session.fs_build_s fs.Session.fs_link_s;
+  let co_pu4 = Session.compile_sources ~frontend:Session.Per_unit ~jobs:4 files in
+  let t_pu4 = co_pu4.Session.co_t_compile in
   Fmt.pr "per-unit at jobs 4: %.3fs (%.2fx vs serial per-unit)@.@." t_pu4
     (t_pu /. t_pu4);
   check "both frontends produce the same program"
-    (List.length (Cfront.Cprog.functions co_pu.Driver.co_prog)
-     = List.length (Cfront.Cprog.functions co_cc.Driver.co_prog)
-    && List.length co_pu.Driver.co_diags
-       = List.length co_cc.Driver.co_diags)
+    (List.length (Cfront.Cprog.functions co_pu.Session.co_prog)
+     = List.length (Cfront.Cprog.functions co_cc.Session.co_prog)
+    && List.length co_pu.Session.co_diags
+       = List.length co_cc.Session.co_diags)
     "";
   check "no link reparses on the generated corpus"
-    (fs.Driver.fs_reparsed = 0)
-    (Printf.sprintf " (%d)" fs.Driver.fs_reparsed);
+    (fs.Session.fs_reparsed = 0)
+    (Printf.sprintf " (%d)" fs.Session.fs_reparsed);
   check "per-unit serial compile >= 1.3x faster than concat"
     (t_cc /. t_pu >= 1.3)
     (Printf.sprintf " measured %.2fx" (t_cc /. t_pu));
@@ -1842,18 +1663,18 @@ let frontend_bench () =
 
   (* ---- parity: full runs, both frontends, serial and jobs 4 ---- *)
   (* the scale digest plus rendered diagnostics: everything a user sees *)
-  let fdigest (r : Driver.run) =
-    scale_digest r.Driver.results r.Driver.solver_stats
+  let fdigest (r : Session.run) =
+    scale_digest r.Session.results r.Session.solver_stats
     ^ String.concat "\n"
-        (List.map Cfront.Diag.to_string r.Driver.diagnostics)
+        (List.map Cfront.Diag.to_string r.Session.diagnostics)
   in
   let run frontend jobs =
-    fdigest (Driver.run_sources ~frontend ~jobs ~mode:Analysis.Mono files)
+    fdigest (Session.run_sources ~frontend ~jobs ~mode:Analysis.Mono files)
   in
-  let d_pu1 = run Driver.Per_unit 1 in
-  let d_cc1 = run Driver.Concat 1 in
-  let d_pu4 = run Driver.Per_unit 4 in
-  let d_cc4 = run Driver.Concat 4 in
+  let d_pu1 = run Session.Per_unit 1 in
+  let d_cc1 = run Session.Concat 1 in
+  let d_pu4 = run Session.Per_unit 4 in
+  let d_cc4 = run Session.Concat 4 in
   check "report+diags byte-identical: per-unit vs concat (serial)"
     (d_pu1 = d_cc1) "";
   check "report+diags byte-identical: per-unit vs concat (jobs 4)"
@@ -1879,11 +1700,11 @@ let frontend_bench () =
   in
   cache_used := true;
   let cached_run files =
-    match Driver.open_cache ~opts_id:"bench" dir with
+    match Session.open_cache ~opts_id:"bench" dir with
     | None -> failwith "frontend bench: cannot open cache directory"
     | Some cs ->
-        let r = Driver.run_sources ~mode:Analysis.Mono ~cache:cs files in
-        (fdigest r, Cache.stats cs.Driver.cs_cache)
+        let r = Session.run_sources ~mode:Analysis.Mono ~cache:cs files in
+        (fdigest r, Cache.stats cs.Session.cs_cache)
   in
   let unit_counts (st : Cache.stats) =
     match Hashtbl.find_opt st.Cache.by_kind "unit" with
@@ -1933,12 +1754,12 @@ let frontend_bench () =
              [
                ("t_compile_s", jf t_pu);
                ("top_heap_words", ji heap_pu);
-               ("units", ji fs.Driver.fs_units);
-               ("reparsed", ji fs.Driver.fs_reparsed);
-               ("lex_s", jf fs.Driver.fs_lex_s);
-               ("parse_s", jf fs.Driver.fs_parse_s);
-               ("build_s", jf fs.Driver.fs_build_s);
-               ("link_s", jf fs.Driver.fs_link_s);
+               ("units", ji fs.Session.fs_units);
+               ("reparsed", ji fs.Session.fs_reparsed);
+               ("lex_s", jf fs.Session.fs_lex_s);
+               ("parse_s", jf fs.Session.fs_parse_s);
+               ("build_s", jf fs.Session.fs_build_s);
+               ("link_s", jf fs.Session.fs_link_s);
              ] );
          ( "concat",
            Jobj
@@ -2161,7 +1982,6 @@ let () =
     if want "figure6" then figure6 rows
   end;
   if want "scaling" then scaling ();
-  if want "parallel" then parallel ();
   if want "compaction" then compaction ();
   if want "lattice" then lattice ();
   if want "ablation" then ablation ();

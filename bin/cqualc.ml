@@ -382,9 +382,9 @@ let jobs =
     & opt int (Typequal.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Analysis worker domains. $(docv) > 1 runs the multicore engine \
-           (wavefront over the function dependence graph for poly/polyrec, \
-           per-function map-reduce for mono); results are identical to \
+          "Frontend parse domains: with $(docv) > 1, the translation units \
+           of a multi-file project are lexed and parsed in parallel. The \
+           analysis itself is serial, and results are identical to \
            $(docv) = 1. Defaults to \\$TYPEQUAL_JOBS or 1.")
 
 let max_errors =

@@ -595,8 +595,8 @@ let jobs =
     & opt int (Typequal.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for analysis and what-if batches. Defaults to \
-           \\$TYPEQUAL_JOBS or 1.")
+          "Worker domains for the per-unit parse and for what-if batches; \
+           the analysis itself is serial. Defaults to \\$TYPEQUAL_JOBS or 1.")
 
 let max_errors =
   Arg.(

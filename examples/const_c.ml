@@ -12,8 +12,8 @@ open Cqual
 let banner title = Fmt.pr "@.== %s ==@." title
 
 let show_run name mode src =
-  let r = Driver.run_source ~mode src in
-  let res = r.Driver.results in
+  let r = Session.run_source ~mode src in
+  let res = r.Session.results in
   Fmt.pr "@.[%s — %s]@." name
     (match mode with
     | Analysis.Mono -> "monomorphic"
@@ -32,10 +32,10 @@ let () =
      int *id1(int *x) { return x; }\n\
      ci *id2(ci *x) { return x; }\n"
   in
-  let r = Driver.run_source ~mode:Analysis.Mono id2 in
+  let r = Session.run_source ~mode:Analysis.Mono id2 in
   Fmt.pr
     "C needs both id1 and id2 (%d const positions, %d declared).@."
-    r.Driver.results.Report.total r.Driver.results.Report.declared;
+    r.Session.results.Report.total r.Session.results.Report.declared;
   let poly_id =
     "char *id(char *x) { return x; }\n\
      void use_writable(void) { char b[8]; char *p; p = id(b); *p = 'x'; }\n\
@@ -57,16 +57,16 @@ let () =
 
   banner "3. Incorrect const usage is a type error";
   let bad = "void f(const char *s) { char *p; p = s; *p = 'x'; }" in
-  let r = Driver.run_source ~mode:Analysis.Mono bad in
+  let r = Session.run_source ~mode:Analysis.Mono bad in
   Fmt.pr "program:@.%s@." bad;
   Fmt.pr "type errors: %d (writing through an alias of a const pointer)@."
-    r.Driver.results.Report.type_errors;
+    r.Session.results.Report.type_errors;
 
   banner "4. The whole embedded suite";
   List.iter
     (fun (name, src) ->
-      let row = Driver.table2_row ~name src in
+      let row = Session.table2_row ~name src in
       Fmt.pr "  %-12s lines=%4d declared=%3d mono=%3d poly=%3d total=%3d@."
-        name row.Driver.r_lines row.Driver.declared row.Driver.mono
-        row.Driver.poly row.Driver.total)
+        name row.Session.r_lines row.Session.declared row.Session.mono
+        row.Session.poly row.Session.total)
     Cbench.Programs.all

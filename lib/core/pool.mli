@@ -1,17 +1,15 @@
 (** A reusable fixed-size pool of worker domains (OCaml 5 [Domain]s).
 
-    The pool serves the multicore analysis engine: tasks are closures
-    pushed onto a shared queue; [jobs] worker domains pop and run them.
-    Tasks may themselves submit further tasks (the wavefront scheduler
-    releases an SCC's dependents from the completion of the SCC itself),
+    The pool runs the per-unit frontend parse and the daemon's what-if
+    batches: tasks are closures pushed onto a shared queue; [jobs] worker
+    domains pop and run them. Tasks may themselves submit further tasks,
     and {!wait} blocks until the pool is fully drained.
 
     Exceptions are {e funneled}, not lost and not fatal: a task that
     raises records the first exception (with its backtrace) and the worker
     keeps serving; {!wait} re-raises it after the queue drains. Callers
     that want per-task fault isolation catch inside the task — the funnel
-    is the backstop for scheduler bugs, mirroring the per-SCC [guarded]
-    degradation of the analysis.
+    is the backstop for scheduler bugs.
 
     With [jobs <= 1] no domain is spawned and {!submit} runs the task
     inline, immediately, in submission order — the exact serial path. *)

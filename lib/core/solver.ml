@@ -6,7 +6,8 @@
     over a Birkhoff-encoded lattice, union-find with partial online cycle
     elimination, insertion-time edge/bound dedup, incremental worklist
     solving with a monotone error table, recorded constraint schemes with
-    renaming instantiation, and batched absorb for the parallel engine.
+    renaming instantiation, and batched export/absorb (the what-if
+    store clone).
 
     What changed is the {e representation} (DESIGN.md, "Flat-arena
     solver"):
@@ -214,7 +215,6 @@ and t = {
   mutable s_memo_nonflat : int;
   mutable s_memo_violate : int;
   mutable s_memo_misses : int;
-  mutable s_skipped_batches : int;
 }
 
 and atom =
@@ -252,7 +252,6 @@ type stats = {
   memo_reject_nonflat_ret : int;
   memo_reject_may_violate : int;
   memo_misses : int;
-  empty_batches_skipped : int;
   heap_words : int;
   top_heap_words : int;
   cores_available : int;
@@ -320,7 +319,6 @@ let create ?(cycle_elim = true) space =
     s_memo_nonflat = 0;
     s_memo_violate = 0;
     s_memo_misses = 0;
-    s_skipped_batches = 0;
   }
 
 let space t = t.sp
@@ -356,30 +354,10 @@ let stats t =
     memo_reject_nonflat_ret = t.s_memo_nonflat;
     memo_reject_may_violate = t.s_memo_violate;
     memo_misses = t.s_memo_misses;
-    empty_batches_skipped = t.s_skipped_batches;
     heap_words = (Gc.quick_stat ()).Gc.heap_words;
     top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
     cores_available = Domain.recommended_domain_count ();
   }
-
-let merge_aux_stats t (s : stats) =
-  t.s_sv_before <- t.s_sv_before + s.scheme_vars_before;
-  t.s_sv_after <- t.s_sv_after + s.scheme_vars_after;
-  t.s_se_before <- t.s_se_before + s.scheme_edges_before;
-  t.s_se_after <- t.s_se_after + s.scheme_edges_after;
-  t.s_memo_hits <- t.s_memo_hits + s.instantiations_memo_hits;
-  t.s_memo_cands <- t.s_memo_cands + s.memo_candidates;
-  t.s_memo_nonflat <- t.s_memo_nonflat + s.memo_reject_nonflat_ret;
-  t.s_memo_violate <- t.s_memo_violate + s.memo_reject_may_violate;
-  t.s_memo_misses <- t.s_memo_misses + s.memo_misses;
-  (* phase times from worker stores fold in as CPU seconds: in a parallel
-     run the per-phase columns sum work across domains (wall time is what
-     analyze_s reports); solve/absorb stay shared-store-side as before *)
-  t.s_congen_s <- t.s_congen_s +. s.congen_s;
-  t.s_generalize_s <- t.s_generalize_s +. s.generalize_s;
-  t.s_compact_s <- t.s_compact_s +. s.compact_s;
-  t.s_instantiate_s <- t.s_instantiate_s +. s.instantiate_s;
-  t.s_skipped_batches <- t.s_skipped_batches + s.empty_batches_skipped
 
 let note_memo_hit t = t.s_memo_hits <- t.s_memo_hits + 1
 let note_memo_candidate t = t.s_memo_cands <- t.s_memo_cands + 1
@@ -389,7 +367,6 @@ let note_memo_reject_may_violate t =
   t.s_memo_violate <- t.s_memo_violate + 1
 
 let note_memo_miss t = t.s_memo_misses <- t.s_memo_misses + 1
-let note_skipped_batch t = t.s_skipped_batches <- t.s_skipped_batches + 1
 
 type phase = Congen | Generalize | Compact | Instantiate | Report
 
@@ -413,11 +390,11 @@ let pp_stats ppf s =
     "vars %d (%d unified), edges %d (%d deduped), cycles %d, solves %d incr + \
      %d full, %d worklist pops, %.3fs solving, %.3fs absorbing; compaction: \
      scheme vars %d -> %d, scheme atoms %d -> %d, %d memoized \
-     instantiations, %d empty batches skipped"
+     instantiations"
     s.vars_created s.vars_unified s.edges_added s.edges_deduped
     s.cycles_collapsed s.incr_solves s.full_solves s.worklist_pops s.solve_s
     s.absorb_s s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
-    s.scheme_edges_after s.instantiations_memo_hits s.empty_batches_skipped;
+    s.scheme_edges_after s.instantiations_memo_hits;
   Fmt.pf ppf
     "; memo: %d candidates, %d misses, %d nonflat-ret, %d may-violate"
     s.memo_candidates s.memo_misses s.memo_reject_nonflat_ret
@@ -1140,30 +1117,14 @@ let scheme_atoms s = s.atoms
 (* Re-emit the scheme's constraints under a fresh renaming of its locals.
    Returns the renaming so callers can rebuild the instantiated type.
    Atoms name original variables, so each instance re-derives its own
-   edges (and hence its own unifications) among the fresh copies.
-
-   [?bind] lets a caller resolve some scheme variables to existing
-   variables of [t] instead of freshening them: the parallel analysis uses
-   it to instantiate a scheme recorded in one store into another, mapping
-   the first store's variables to their mirrors without materializing any
-   extra copies (which would perturb variable-creation parity with the
-   serial run). A bound variable is never freshened; a free variable that
-   [bind] does not resolve is used as-is, exactly as before. *)
-let instantiate ?bind t s =
+   edges (and hence its own unifications) among the fresh copies. *)
+let instantiate t s =
   let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
   let map = Hashtbl.create (List.length s.locals) in
   List.iter
-    (fun v ->
-      match bound v with
-      | Some v' -> Hashtbl.replace map v.uid v'
-      | None -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
+    (fun v -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
     s.locals;
-  let rn v =
-    match Hashtbl.find_opt map v.uid with
-    | Some v' -> v'
-    | None -> ( match bound v with Some v' -> v' | None -> v)
-  in
+  let rn v = match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v in
   List.iter
     (function
       | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
@@ -1174,15 +1135,15 @@ let instantiate ?bind t s =
   rn
 
 (* ------------------------------------------------------------------ *)
-(* Batched constraint merge (parallel map-reduce support)              *)
+(* Batched constraint merge (store clone for what-if queries)          *)
 (* ------------------------------------------------------------------ *)
 
 (* A batch is the complete, ordered content of a store, exported as two
    array slices of the arena: every variable in creation order (= id
-   order) and every atom in insertion order. Exporting a private worker
-   store and absorbing it into the shared store replays exactly the
-   operations the serial analysis would have performed, so dedup, cycle
-   collapse and the final solution are identical. *)
+   order) and every atom in insertion order. Exporting a store and
+   absorbing it into another replays exactly the operations that built
+   it, so dedup, cycle collapse and the final solution are identical;
+   the what-if queries clone the solved store this way. *)
 type batch = {
   b_vars : var array;  (* creation order *)
   b_atoms : atom array;  (* insertion order *)
@@ -1198,12 +1159,11 @@ let batch_vars b = Array.length b.b_vars
 let batch_atoms b = Array.length b.b_atoms
 
 (* Replay [b] into [t]. [?bind] resolves batch variables that must map to
-   pre-existing variables of [t] (the worker's mirrors of shared globals);
-   every other batch variable is re-created fresh, {e in the batch's
-   creation order} (one tight ascending loop over the exported arena
-   segment), so the absorbing store allocates the same number of variables
-   in the same sequence as a serial run that had generated the batch's
-   constraints directly. Returns the realized renaming.
+   pre-existing variables of [t]; every other batch variable is re-created
+   fresh, {e in the batch's creation order} (one tight ascending loop over
+   the exported arena segment), so the absorbing store allocates the same
+   number of variables in the same sequence as a run that had generated
+   the batch's constraints directly. Returns the realized renaming.
 
    Splice-fast path: [export] cuts [b_vars] straight out of the source
    arena's object column, so a batch variable's [id] {e is} its index in
@@ -1267,15 +1227,6 @@ let absorb_replay t ?bind (b : batch) =
   done;
   t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
   fun v -> Hashtbl.find_opt map v.uid
-
-(* A batch whose absorb would be a literal no-op: no atoms to replay and
-   every variable already bound to a shared-store variable (so no fresh
-   variables would be created either). The parallel merge skips these —
-   common for leaf-function tasks that touched only pre-mirrored globals —
-   without perturbing variable-creation parity with a serial run. *)
-let batch_skippable ~bind (b : batch) =
-  Array.length b.b_atoms = 0
-  && Array.for_all (fun v -> Option.is_some (bind v)) b.b_vars
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c
@@ -1569,8 +1520,8 @@ let scheme_size s = List.length s.atoms
    full-mask cycles survive as composed edge chains, which the store
    re-collapses at instantiation.
 
-   Determinism matters downstream (parallel workers must publish the same
-   scheme the serial run builds): the pass never consults representatives
+   Determinism matters downstream (reports must not depend on hash-table
+   layout): the pass never consults representatives
    ([find_id]) or iterates a hashtable for output; surviving atoms keep
    their original order, composed atoms append in generation order, and
    the local list keeps its original order filtered to interface members

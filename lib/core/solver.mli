@@ -174,19 +174,12 @@ val scheme_id : scheme -> int
 val scheme_size : scheme -> int
 (** number of atoms *)
 
-val instantiate : ?bind:(var -> var option) -> t -> scheme -> var -> var
+val instantiate : t -> scheme -> var -> var
 (** Re-emit the scheme's constraints under a fresh renaming of all its
     locals (so instances cannot interfere — the existential binding of
-    Section 3.2); returns the renaming, the identity on non-locals.
+    Section 3.2); returns the renaming, the identity on non-locals. *)
 
-    [?bind] resolves a scheme variable (local or free) to an existing
-    variable of [t] instead of freshening it. The parallel analysis uses
-    it to instantiate a scheme recorded in another store: scheme-local
-    variables still freshen, but the scheme's free variables — which name
-    the {e other} store's globals — are redirected to this store's mirrors
-    rather than used as-is. *)
-
-(** {1 Batched constraint merge (parallel map-reduce)} *)
+(** {1 Batched constraint merge (the what-if store clone)} *)
 
 type batch
 (** the complete ordered content of a store: every variable in creation
@@ -198,14 +191,14 @@ val batch_vars : batch -> int
 val batch_atoms : batch -> int
 
 val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** Replay a batch (typically exported from a worker's private store) into
-    [t]: batch variables resolved by [?bind] map to existing variables of
-    [t] (the worker's mirrors of shared globals) and are {e not}
-    re-created; every other batch variable is created fresh in the batch's
-    creation order; then every atom is re-added through the normal
-    [add_leq_*] entry points, so edge/bound dedup and online cycle
-    elimination apply exactly as if the constraints had been generated
-    serially. Returns the realized renaming ([None] for batch variables
+(** Replay a batch (typically exported from another store) into [t]:
+    batch variables resolved by [?bind] map to existing variables of [t]
+    and are {e not} re-created; every other batch variable is created
+    fresh in the batch's creation order; then every atom is re-added
+    through the normal [add_leq_*] entry points, so edge/bound dedup and
+    online cycle elimination apply exactly as if the constraints had been
+    generated in [t]. The what-if queries clone the solved store through
+    [export] and [absorb]. Returns the realized renaming ([None] for batch variables
     the batch did not contain).
 
     This is the splice-fast path: because {!export} cuts the variable
@@ -219,13 +212,6 @@ val absorb_replay :
 (** The pre-splice merge: same contract as {!absorb}, renaming through a
     uid-keyed hash table. Kept as the independent parity oracle the
     property tests compare the fast path against. *)
-
-val batch_skippable : bind:(var -> var option) -> batch -> bool
-(** [true] iff absorbing the batch would be a literal no-op: it carries no
-    atoms and every variable is already resolved by [bind] (so no fresh
-    variables would be created). The parallel merge skips such batches
-    (common for leaf-function tasks) without perturbing variable-creation
-    parity with a serial run. *)
 
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
@@ -327,8 +313,6 @@ type stats = {
   memo_misses : int;
       (** eligible candidates whose key was not yet in the session memo
           (each miss performed a real instantiation) *)
-  empty_batches_skipped : int;
-      (** worker batches whose absorb was skipped as a no-op *)
   heap_words : int;
       (** live major-heap words at sampling time ([Gc.quick_stat]) *)
   top_heap_words : int;  (** peak major-heap size over the process life *)
@@ -353,9 +337,6 @@ val note_memo_reject_may_violate : t -> unit
 val note_memo_miss : t -> unit
 (** count one eligible candidate that still had to instantiate *)
 
-val note_skipped_batch : t -> unit
-(** count one skipped empty batch *)
-
 type phase = Congen | Generalize | Compact | Instantiate | Report
 
 val note_phase : t -> phase -> float -> unit
@@ -366,12 +347,6 @@ val note_phase : t -> phase -> float -> unit
 val phase_seconds : t -> phase -> float
 (** current accumulated seconds of a phase — lets a client time an
     enclosing window and subtract the nested phases for disjoint columns *)
-
-val merge_aux_stats : t -> stats -> unit
-(** fold the compaction/memo counters and per-phase times of a worker
-    store's stats into this store, so parallel runs report totals (phase
-    times sum CPU seconds across domains); the structural counters (vars,
-    edges, solve times) are not touched — they flow through {!absorb} *)
 
 val pp_scheme : Space.t -> scheme Fmt.t
 (** render a constrained scheme (Section 6's presentation concern);

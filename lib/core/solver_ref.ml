@@ -147,7 +147,6 @@ type stats = {
   memo_reject_nonflat_ret : int;
   memo_reject_may_violate : int;
   memo_misses : int;
-  empty_batches_skipped : int;
   heap_words : int;
   top_heap_words : int;
   cores_available : int;
@@ -197,7 +196,6 @@ type t = {
   mutable s_se_before : int;
   mutable s_se_after : int;
   mutable s_memo_hits : int;
-  mutable s_skipped_batches : int;
 }
 
 let create ?(cycle_elim = true) space =
@@ -230,7 +228,6 @@ let create ?(cycle_elim = true) space =
     s_se_before = 0;
     s_se_after = 0;
     s_memo_hits = 0;
-    s_skipped_batches = 0;
   }
 
 let space t = t.space
@@ -266,37 +263,23 @@ let stats t =
     memo_reject_nonflat_ret = 0;
     memo_reject_may_violate = 0;
     memo_misses = 0;
-    empty_batches_skipped = t.s_skipped_batches;
     heap_words = (Gc.quick_stat ()).Gc.heap_words;
     top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
     cores_available = Domain.recommended_domain_count ();
   }
 
-(* Fold compaction/memo counters accrued in a worker-private store into the
-   shared store, so `--stats` totals cover parallel runs. Only the additive
-   bookkeeping counters transfer; everything else (vars, edges, solve
-   times) already flows through the batch absorb path. *)
-let merge_aux_stats t (s : stats) =
-  t.s_sv_before <- t.s_sv_before + s.scheme_vars_before;
-  t.s_sv_after <- t.s_sv_after + s.scheme_vars_after;
-  t.s_se_before <- t.s_se_before + s.scheme_edges_before;
-  t.s_se_after <- t.s_se_after + s.scheme_edges_after;
-  t.s_memo_hits <- t.s_memo_hits + s.instantiations_memo_hits;
-  t.s_skipped_batches <- t.s_skipped_batches + s.empty_batches_skipped
-
 let note_memo_hit t = t.s_memo_hits <- t.s_memo_hits + 1
-let note_skipped_batch t = t.s_skipped_batches <- t.s_skipped_batches + 1
 
 let pp_stats ppf s =
   Fmt.pf ppf
     "vars %d (%d unified), edges %d (%d deduped), cycles %d, solves %d incr + \
      %d full, %d worklist pops, %.3fs solving, %.3fs absorbing; compaction: \
      scheme vars %d -> %d, scheme atoms %d -> %d, %d memoized \
-     instantiations, %d empty batches skipped"
+     instantiations"
     s.vars_created s.vars_unified s.edges_added s.edges_deduped
     s.cycles_collapsed s.incr_solves s.full_solves s.worklist_pops s.solve_s
     s.absorb_s s.scheme_vars_before s.scheme_vars_after s.scheme_edges_before
-    s.scheme_edges_after s.instantiations_memo_hits s.empty_batches_skipped;
+    s.scheme_edges_after s.instantiations_memo_hits;
   Fmt.pf ppf "; heap %d words (peak %d), %d cores" s.heap_words
     s.top_heap_words s.cores_available
 
@@ -912,15 +895,6 @@ let absorb t ?bind (b : batch) =
 (* the reference store has no splice-fast path: both names are the same
    Hashtbl replay (present so the cores share a signature) *)
 let absorb_replay = absorb
-
-(* A batch whose absorb would be a literal no-op: no atoms to replay and
-   every variable already bound to a shared-store variable (so no fresh
-   variables would be created either). The parallel merge skips these —
-   common for leaf-function tasks that touched only pre-mirrored globals —
-   without perturbing variable-creation parity with a serial run. *)
-let batch_skippable ~bind (b : batch) =
-  b.b_atoms = []
-  && List.for_all (fun v -> Option.is_some (bind v)) b.b_vars
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c

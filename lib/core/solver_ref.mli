@@ -203,13 +203,6 @@ val absorb_replay :
 (** alias of {!absorb}: the reference store has no splice-fast path, the
     name exists so both cores satisfy the test suite's common signature *)
 
-val batch_skippable : bind:(var -> var option) -> batch -> bool
-(** [true] iff absorbing the batch would be a literal no-op: it carries no
-    atoms and every variable is already resolved by [bind] (so no fresh
-    variables would be created). The parallel merge skips such batches
-    (common for leaf-function tasks) without perturbing variable-creation
-    parity with a serial run. *)
-
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
     duplicate and vacuous atoms are dropped, and existentially bound
@@ -296,8 +289,6 @@ type stats = {
   memo_reject_nonflat_ret : int;
   memo_reject_may_violate : int;
   memo_misses : int;
-  empty_batches_skipped : int;
-      (** worker batches whose absorb was skipped as a no-op *)
   heap_words : int;  (** live major-heap words at sampling time *)
   top_heap_words : int;  (** peak major-heap size over the process life *)
   cores_available : int;  (** [Domain.recommended_domain_count] *)
@@ -308,14 +299,6 @@ val pp_stats : stats Fmt.t
 
 val note_memo_hit : t -> unit
 (** count one memoized instantiation (the memo table lives in the client) *)
-
-val note_skipped_batch : t -> unit
-(** count one skipped empty batch *)
-
-val merge_aux_stats : t -> stats -> unit
-(** fold the compaction/memo counters of a worker store's stats into this
-    store, so parallel runs report totals; the structural counters (vars,
-    edges, solve times) are not touched — they flow through {!absorb} *)
 
 val pp_scheme : Space.t -> scheme Fmt.t
 (** render a constrained scheme (Section 6's presentation concern);

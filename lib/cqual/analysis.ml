@@ -21,7 +21,6 @@
 
 module Solver = Typequal.Solver
 module Budget = Typequal.Budget
-module Pool = Typequal.Pool
 module Elt = Typequal.Lattice.Elt
 module Space = Typequal.Lattice.Space
 module Q = Typequal.Qualifier
@@ -192,37 +191,9 @@ type fentry =
     which is conservative, and {!Report} excludes its positions. *)
 type outcome = Analyzed | Degraded of string
 
-(** How a variable of a worker's private store binds into the shared
-    store at merge time (parallel analysis). *)
-type gbind =
-  | Gvar of Solver.var  (** mirror of this pre-existing shared variable *)
-  | Gauto of string
-      (** auto-declared global, identified by name — it may not exist in
-          the shared store yet, and several workers may introduce it
-          independently; the first merged batch materializes it *)
-
-(** A function's published summary, in the {e producing} worker's private
-    terms: consumers resolve foreign variables through [p_bind] (foreign
-    var id -> shared binding) into mirrors of their own. *)
-type pentry = {
-  p_scheme : Solver.scheme;
-  p_fsig : fsig;
-  p_bind : (int, gbind) Hashtbl.t;
-}
-
-(** Published summaries: written by a worker when its SCC completes —
-    before its dependents are released, so the wavefront's happens-before
-    edge covers them — and read by dependent workers. *)
-type pub = {
-  pub_m : Mutex.t;
-  pub_tbl : (string, pentry) Hashtbl.t;
-}
-
 (** May instances of a scheme be shared between call sites of the same
     callee? Decided once per (scheme, callee), from the shape of the
-    registered interface and the scheme's own atoms — both structural, so
-    serial runs and worker replicas (over mirrored schemes) reach the
-    same verdict. *)
+    registered interface and the scheme's own atoms. *)
 type memo_verdict =
   | MFlat
       (** the whole signature is flat (flat return, flat pointed-to
@@ -238,12 +209,14 @@ type memo_verdict =
   | MMayViolate
       (** rejected: a dropped instance copy could drop a bound violation *)
 
-(** Wall-clock phase breakdown of a parallel run (for [--stats]). *)
+(** Phase breakdown of the deleted parallel analysis engine. No run
+    produces one any more; the type remains only because the perfbench
+    tool ([perfbench/tool/pbtool.ml]) still reads its fields. *)
 type par_stats = {
   ps_jobs : int;
-  ps_tasks : int;  (** scheduled units: SCCs (poly) or functions (mono) *)
-  ps_gen_s : float;  (** parallel constraint-generation phase *)
-  ps_merge_s : float;  (** serial batched merge into the shared store *)
+  ps_tasks : int;
+  ps_gen_s : float;
+  ps_merge_s : float;
 }
 
 type env = {
@@ -264,11 +237,9 @@ type env = {
   outcomes : (string, outcome) Hashtbl.t;  (** per defined function *)
   budget : Budget.t option;
       (** resource guard; exhaustion degrades remaining functions *)
-  pc : par_ctx option;
-      (** present iff this is a worker's private view: [store] and every
-          table above are private to one domain, and shared state is
-          reached read-only through the context *)
-  mutable par : par_stats option;  (** set on the shared env by parallel runs *)
+  par : par_stats option;
+      (** always [None]; remains only for the perfbench tool, which
+          reads it *)
   compact : bool;
       (** scheme compaction at generalization and instantiation
           memoization (default on); [false] restores the uncompacted
@@ -287,22 +258,7 @@ type env = {
   fdg : Fdg.t Lazy.t;
       (** the program's function dependence graph: forced by the
           polymorphic analyses to schedule SCCs, and reused afterwards for
-          the run's FDG statistics, so one run builds it at most once.
-          Worker envs share the shared env's value and never force it. *)
-}
-
-(** A worker's window onto the shared analysis: the read-only global env
-    (its tables are frozen during the parallel phase), the mirror tables
-    mapping shared cells into the worker's private store, and the binding
-    table the merge uses to map private variables back. *)
-and par_ctx = {
-  pc_genv : env;
-  pc_bind : (int, gbind) Hashtbl.t;  (** private var id -> shared binding *)
-  pc_gmirror : (int, Solver.var) Hashtbl.t;  (** shared var id -> mirror *)
-  pc_cmirror : (int, cell) Hashtbl.t;  (** shared cell (by q id) -> mirror *)
-  pc_autos : (string * cell) list ref;
-      (** auto-declared globals this worker introduced, newest first *)
-  pc_pub : pub;
+          the run's FDG statistics, so one run builds it at most once. *)
 }
 
 let warn env msg = env.warnings <- msg :: env.warnings
@@ -349,53 +305,10 @@ let guarded env name (k : unit -> 'a) : 'a option =
 let seed env = env.rules.qr_seed env.store
 
 (* ------------------------------------------------------------------ *)
-(* Mirroring shared cells into a worker's private store                *)
-(* ------------------------------------------------------------------ *)
-
-(* A mirror is a fresh private variable standing for a shared one: the
-   worker constrains the mirror, and the merge binds it back to the shared
-   original instead of re-creating it, so the shared store's variable
-   sequence stays identical to a serial run's. Mirrors are memoized per
-   worker (aliasing in the shared store must stay aliasing privately). No
-   declared-qualifier seeding happens here — those constraints were added
-   to the shared store when the global environment was built. *)
-let mirror_var env pc (g : Solver.var) : Solver.var =
-  let id = Solver.var_id g in
-  match Hashtbl.find_opt pc.pc_gmirror id with
-  | Some v -> v
-  | None ->
-      let v = Solver.fresh ~name:(Solver.var_name g) env.store in
-      Hashtbl.replace pc.pc_gmirror id v;
-      Hashtbl.replace pc.pc_bind (Solver.var_id v) (Gvar g);
-      v
-
-let rec mirror_rt env pc = function
-  | (RBase | RVoid | RStruct _) as r -> r
-  | RPtr c -> RPtr (mirror_cell env pc c)
-  | RFun f -> RFun (mirror_fsig env pc f)
-
-and mirror_cell env pc (c : cell) : cell =
-  let id = Solver.var_id c.q in
-  match Hashtbl.find_opt pc.pc_cmirror id with
-  | Some c' -> c'
-  | None ->
-      let c' = { q = mirror_var env pc c.q; contents = RBase } in
-      Hashtbl.replace pc.pc_cmirror id c';
-      c'.contents <- mirror_rt env pc c.contents;
-      c'
-
-and mirror_fsig env pc (f : fsig) : fsig =
-  {
-    fs_params = List.map (mirror_cell env pc) f.fs_params;
-    fs_ret = mirror_rt env pc f.fs_ret;
-    fs_varargs = f.fs_varargs;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Shared struct field tables (Section 4.2)                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec field_cells env tag : (string * cell) list =
+let field_cells env tag : (string * cell) list =
   match Hashtbl.find_opt env.fields tag with
   | Some fs when env.field_sharing -> fs
   | Some _ ->
@@ -404,31 +317,8 @@ let rec field_cells env tag : (string * cell) list =
         (fun (name, ft) ->
           (name, cell_of_ctype ~name ~seed:(seed env) env.store ft))
         (Cprog.fields env.prog tag)
-  | None -> (
-      match env.pc with
-      | Some pc when Hashtbl.mem pc.pc_genv.fields tag ->
-          if env.field_sharing then begin
-            (* worker view of the shared per-tag table: mirror the shared
-               cells (memoized, so sharing is preserved) *)
-            let fs =
-              List.map
-                (fun (name, c) -> (name, mirror_cell env pc c))
-                (Hashtbl.find pc.pc_genv.fields tag)
-            in
-            Hashtbl.replace env.fields tag fs;
-            fs
-          end
-          else
-            (* ablation under parallelism: the shared env knows the tag, so
-               behave like the [Some _] branch — fresh cells per access *)
-            List.map
-              (fun (name, ft) ->
-                (name, cell_of_ctype ~name ~seed:(seed env) env.store ft))
-              (Cprog.fields env.prog tag)
-      | _ -> build_fields env tag)
-
-and build_fields env tag =
-  (* install a placeholder first so recursive structs terminate *)
+  | None ->
+      (* install a placeholder first so recursive structs terminate *)
       Hashtbl.replace env.fields tag [];
       let fs =
         List.map
@@ -442,8 +332,7 @@ and build_fields env tag =
       Hashtbl.replace env.fields tag fs;
       fs
 
-and find_field env tag fname =
-  List.assoc_opt fname (field_cells env tag)
+let find_field env tag fname = List.assoc_opt fname (field_cells env tag)
 
 (* ------------------------------------------------------------------ *)
 (* Scopes                                                              *)
@@ -457,20 +346,7 @@ type scope = {
 let lookup_var env scope x : cell option =
   match List.assoc_opt x scope.locals with
   | Some c -> Some c
-  | None -> (
-      match Hashtbl.find_opt env.globals x with
-      | Some c -> Some c
-      | None -> (
-          (* worker view: mirror the shared global on first touch *)
-          match env.pc with
-          | Some pc -> (
-              match Hashtbl.find_opt pc.pc_genv.globals x with
-              | Some gc ->
-                  let c = mirror_cell env pc gc in
-                  Hashtbl.replace env.globals x c;
-                  Some c
-              | None -> None)
-          | None -> None))
+  | None -> Hashtbl.find_opt env.globals x
 
 (* Undeclared identifiers (K&R implicit, or benchmarks referencing symbols
    from headers we do not have): auto-declare as an int global so repeated
@@ -482,14 +358,6 @@ let auto_global env x =
       let c = fresh_cell ~name:("auto_" ^ x) env.store RBase in
       Hashtbl.replace env.globals x c;
       Hashtbl.replace env.late_mono (Solver.var_id c.q) ();
-      (match env.pc with
-      | Some pc ->
-          (* bind by name: the shared counterpart may not exist yet, and
-             concurrent workers may introduce the same one — the first
-             merged batch materializes it, the rest bind to it *)
-          Hashtbl.replace pc.pc_bind (Solver.var_id c.q) (Gauto x);
-          pc.pc_autos := (x, c) :: !(pc.pc_autos)
-      | None -> ());
       c
 
 (* ------------------------------------------------------------------ *)
@@ -549,70 +417,9 @@ let assign_to env (c : cell) ~reason =
   ignore reason;
   env.rules.qr_write env.store c.q
 
-(* Resolve a foreign variable (one of another worker's private store) to a
-   variable of this worker's store, via its published shared binding. A
-   variable [bind] does not cover is one of the producing scheme's locals:
-   those are freshened at instantiation and need no resolution. *)
-let import_var env pc (p_bind : (int, gbind) Hashtbl.t) v =
-  match Hashtbl.find_opt p_bind (Solver.var_id v) with
-  | Some (Gvar g) -> mirror_var env pc g
-  | Some (Gauto name) -> (auto_global env name).q
-  | None -> v
-
-(* Translate a published summary into this worker's terms: scheme locals
-   are kept (they only name freshening slots), while free variables —
-   which name the producing worker's mirrors of shared state — are
-   re-based onto this worker's own mirrors. The result behaves exactly
-   like a locally generalized [FPoly] entry. *)
-let import_fentry env pc (pe : pentry) : fentry =
-  let resolve v = import_var env pc pe.p_bind v in
-  let atoms =
-    List.map
-      (function
-        | Solver.Avc (v, c, m, r) -> Solver.Avc (resolve v, c, m, r)
-        | Solver.Acv (c, v, m, r) -> Solver.Acv (c, resolve v, m, r)
-        | Solver.Avv (a, b, m, r) -> Solver.Avv (resolve a, resolve b, m, r))
-      (Solver.scheme_atoms pe.p_scheme)
-  in
-  let sch =
-    Solver.make_scheme ~locals:(Solver.scheme_locals pe.p_scheme) ~atoms
-  in
-  FPoly (sch, pe.p_fsig)
-
-(* resolve a function name to its cached entry, importing shared-store
-   interfaces (mono) or published summaries (poly modes) into the
-   worker's own terms on first sight *)
-let rec fentry_of env name : fentry option =
-  match Hashtbl.find_opt env.funs name with
-  | Some e -> Some e
-  | None -> (
-      match env.pc with
-      | None -> None
-      | Some pc -> (
-          match Hashtbl.find_opt pc.pc_genv.funs name with
-          | Some (FMono s) ->
-              (* mono mode: interfaces live in the shared store (built in
-                 the serial first pass); mirror once and cache *)
-              let s' = mirror_fsig env pc s in
-              Hashtbl.replace env.funs name (FMono s');
-              Some (FMono s')
-          | Some (FPoly _) | None -> (
-              (* poly modes: summaries are published by completed SCC
-                 workers; a missing entry means the callee's SCC degraded
-                 (or is genuinely undefined) — fall through to the
-                 conservative library treatment, like the serial run *)
-              Mutex.lock pc.pc_pub.pub_m;
-              let pe = Hashtbl.find_opt pc.pc_pub.pub_tbl name in
-              Mutex.unlock pc.pc_pub.pub_m;
-              match pe with
-              | Some pe ->
-                  Hashtbl.replace env.funs name (import_fentry env pc pe);
-                  fentry_of env name
-              | None -> None)))
-
 (* instantiate a defined function for one occurrence *)
 let fun_occurrence env name : fsig option =
-  match fentry_of env name with
+  match Hashtbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let rn = Solver.instantiate env.store sch in
@@ -680,7 +487,7 @@ let memo_verdict env sch (s : fsig) name =
    unchanged (the skipped copy's atoms never violate, and its fresh
    variables are unobservable). *)
 let fun_call_occurrence env name (arg_rts : rt list) : fsig option =
-  match fentry_of env name with
+  match Hashtbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let instantiate () =
@@ -1021,7 +828,6 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     field_sharing;
     outcomes = Hashtbl.create 16;
     budget;
-    pc = None;
     par = None;
     compact;
     shapes = Shape.create_table ();
@@ -1133,8 +939,7 @@ let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
 (* Generalize an SCC's captured constraints: every variable mentioned
    that is not part of the monomorphic global environment becomes a scheme
    local (Section 4.3). [is_global] decides membership in the monomorphic
-   environment: by creation watermark + late-mono table for a serial run,
-   by the mirror/auto binding table for a worker's private store. *)
+   environment. *)
 let generalize_scc ~is_global atoms
     (scc_ifaces : (Cast.fundef * fsig) list) : Solver.scheme =
   let seen = Hashtbl.create 64 in
@@ -1180,13 +985,6 @@ let summarize_iface bounds (s : fsig) : (Elt.t * Elt.t) list =
   go_rt (RFun s);
   List.rev !acc
 
-(* The monomorphic-environment predicate of a serial run: everything
-   created before the watermark (globals, struct fields) plus the
-   late-arriving auto globals. *)
-let serial_is_global env ~global_watermark v =
-  Solver.var_id v < global_watermark
-  || Hashtbl.mem env.late_mono (Solver.var_id v)
-
 (* A multi-member SCC generalizes into one scheme carrying every
    member's constraints and every member's interface — but a call to
    one member must not pay for the whole component. The scale corpora's
@@ -1197,9 +995,8 @@ let serial_is_global env ~global_watermark v =
    megacorpus). At registration, re-compact the shared scheme down to
    the member's own interface-reachable core: exact by compaction's
    contract (identical interface solutions and bound violations),
-   deterministic (compaction never iterates a hash table, so serial and
-   worker derivations agree structurally), and excluded from
-   the scheme-size counters ([~count:false]) so those keep describing
+   deterministic (compaction never iterates a hash table), and excluded
+   from the scheme-size counters ([~count:false]) so those keep describing
    the primary generalizations. Singleton SCCs keep their scheme as is:
    it was already compacted against exactly this interface. *)
 let member_scheme env sch (s : fsig) : Solver.scheme =
@@ -1219,8 +1016,7 @@ let register_member_schemes env sch (scc_ifaces : (Cast.fundef * fsig) list) =
    directly, then bodies; capture the atoms, generalize, optionally
    simplify, and register the scheme for the members. Raises on analysis
    failure — fault isolation is the caller's job. *)
-let poly_scc env ~is_global ~simplify members :
-    (Cast.fundef * fsig) list * Solver.scheme =
+let poly_scc env ~is_global ~simplify members : (Cast.fundef * fsig) list =
   (* one memo session per recording: hits must name instances captured
      into THIS scheme *)
   Hashtbl.reset env.imemo;
@@ -1252,22 +1048,32 @@ let poly_scc env ~is_global ~simplify members :
     if env.compact then Solver.compact env.store ~interface sch else sch
   in
   register_member_schemes env sch scc_ifaces;
-  (scc_ifaces, sch)
+  scc_ifaces
 
-(** Polymorphic const inference (Section 4.3, the "Poly" column): SCCs of
-    the FDG processed callees-first; each SCC's constraints are captured
-    and generalized into one scheme shared by its members. *)
-let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
-    (prog : Cprog.t) : env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Poly prog in
+(* The callee-first walk over the FDG's SCCs shared by the polymorphic
+   modes (Section 4.3): [process] analyzes one SCC, registers its
+   members' schemes and returns their interfaces. Fault isolation is per
+   SCC: members are generalized together, so a failure in any of them
+   invalidates the whole component's scheme, and callers of a degraded
+   member fall back to the conservative library treatment. *)
+let run_sccs ?rules ?field_sharing ?compact ?budget mode
+    ~(process :
+       env ->
+       is_global:(Solver.var -> bool) ->
+       string list ->
+       Cast.fundef list ->
+       (Cast.fundef * fsig) list) (prog : Cprog.t) :
+    env * (string * fsig) list =
+  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
   build_global_env env;
-  (* variables created so far (globals, struct fields) are monomorphic *)
+  (* variables created so far (globals, struct fields) are monomorphic,
+     and so are the auto globals that arrive later *)
   let global_watermark = Solver.num_vars env.store in
-  let is_global = serial_is_global env ~global_watermark in
-  let fdg = Lazy.force env.fdg in
+  let is_global v =
+    Solver.var_id v < global_watermark
+    || Hashtbl.mem env.late_mono (Solver.var_id v)
+  in
   let ifaces = ref [] in
-  (* fault isolation is per SCC: members are generalized together, so a
-     failure in any of them invalidates the whole component's scheme *)
   let degrade_scc members reason =
     List.iter
       (fun (f : Cast.fundef) ->
@@ -1283,32 +1089,33 @@ let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
       match budget_reason env with
       | Some r -> degrade_scc members ("budget exhausted: " ^ r)
       | None -> (
-          match poly_scc env ~is_global ~simplify members with
+          match process env ~is_global scc members with
           | exception ((Out_of_memory | Sys.Break) as e) -> raise e
           | exception e -> degrade_scc members (reason_of_exn e)
-          | scc_ifaces, _ ->
+          | scc_ifaces ->
               List.iter
                 (fun ((f : Cast.fundef), s) ->
                   mark_analyzed env f.f_name;
                   ifaces := (f.f_name, s) :: !ifaces)
                 scc_ifaces))
-    fdg.Fdg.sccs;
+    (Lazy.force env.fdg).Fdg.sccs;
   analyze_global_inits env;
   (env, List.rev !ifaces)
 
-(** Polymorphic recursion: like {!run_poly}, but recursive calls within
-    an SCC are themselves polymorphic. Each SCC is re-analyzed with the
-    previous iteration's schemes used for in-SCC calls — starting from the
-    most general (unconstrained) summaries — until the interface verdicts
-    reach a fixed point. Termination: the summaries form a finite domain
-    and the iteration is capped (the cap is never reached in practice;
-    the fixed point typically arrives by the second round). *)
+(** Polymorphic const inference (Section 4.3, the "Poly" column): SCCs of
+    the FDG processed callees-first; each SCC's constraints are captured
+    and generalized into one scheme shared by its members. *)
+let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
+    (prog : Cprog.t) : env * (string * fsig) list =
+  run_sccs ?rules ?field_sharing ?compact ?budget Poly prog
+    ~process:(fun env ~is_global _ members ->
+      poly_scc env ~is_global ~simplify members)
+
 (* Process one SCC (Polyrec): Mycroft iteration to a fixed point of the
    interface summaries, entirely within [env]'s store (each round's
-   constraints stay in the store, like the serial run). Returns the final
-   interfaces and scheme; raises on analysis failure. *)
-let polyrec_scc env ~is_global prog scc members :
-    (Cast.fundef * fsig) list * Solver.scheme =
+   constraints stay in the store). Returns the final interfaces; raises
+   on analysis failure. *)
+let polyrec_scc env ~is_global prog scc members : (Cast.fundef * fsig) list =
   let max_rounds = 6 in
   let is_recursive =
     match scc with
@@ -1372,8 +1179,8 @@ let polyrec_scc env ~is_global prog scc members :
               List.iter (fun (f, s) -> analyze_body env f s) is;
               is))
     in
-    let sch = finish scc_ifaces atoms in
-    (scc_ifaces, sch)
+    ignore (finish scc_ifaces atoms : Solver.scheme);
+    scc_ifaces
   end
   else begin
     (* round 0: most general summaries — unconstrained skeletons *)
@@ -1394,415 +1201,34 @@ let polyrec_scc env ~is_global prog scc members :
       let summaries =
         List.map (fun (_, s) -> summarize_iface bounds s) scc_ifaces
       in
-      if summaries = prev_summaries || round >= max_rounds then
-        (scc_ifaces, sch)
+      if summaries = prev_summaries || round >= max_rounds then scc_ifaces
       else iterate summaries (round + 1)
     in
     iterate [] 1
   end
 
+(** Polymorphic recursion: like {!run_poly}, but recursive calls within
+    an SCC are themselves polymorphic. Each SCC is re-analyzed with the
+    previous iteration's schemes used for in-SCC calls — starting from the
+    most general (unconstrained) summaries — until the interface verdicts
+    reach a fixed point. Termination: the summaries form a finite domain
+    and the iteration is capped (the cap is never reached in practice;
+    the fixed point typically arrives by the second round). *)
 let run_polyrec ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
     env * (string * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Polyrec prog in
-  build_global_env env;
-  let global_watermark = Solver.num_vars env.store in
-  let is_global = serial_is_global env ~global_watermark in
-  let fdg = Lazy.force env.fdg in
-  let ifaces = ref [] in
-  List.iter
-    (fun scc ->
-      let members =
-        List.filter_map (fun name -> Cprog.find_fun prog name) scc
-      in
-      let degrade_scc reason =
-        List.iter
-          (fun (f : Cast.fundef) ->
-            degrade env f.f_name reason;
-            Hashtbl.remove env.funs f.f_name)
-          members
-      in
-      match budget_reason env with
-      | Some r -> degrade_scc ("budget exhausted: " ^ r)
-      | None -> (
-          match polyrec_scc env ~is_global prog scc members with
-          | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-          | exception e -> degrade_scc (reason_of_exn e)
-          | final, _ ->
-              List.iter
-                (fun ((f : Cast.fundef), s) ->
-                  mark_analyzed env f.f_name;
-                  ifaces := (f.f_name, s) :: !ifaces)
-                final))
-    fdg.Fdg.sccs;
-  analyze_global_inits env;
-  (env, List.rev !ifaces)
+  run_sccs ?rules ?field_sharing ?compact ?budget Polyrec prog
+    ~process:(fun env ~is_global scc members ->
+      polyrec_scc env ~is_global prog scc members)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel drivers (multicore wavefront; see DESIGN.md)               *)
-(* ------------------------------------------------------------------ *)
-
-(* A private analysis view for one worker task: fresh store (charging the
-   shared budget), private tables, and a mirror context onto [genv]. *)
-let worker_env (genv : env) (pub : pub) : env =
-  let store = Solver.create genv.rules.qr_space in
-  Solver.set_budget store genv.budget;
-  {
-    store;
-    prog = genv.prog;
-    mode = genv.mode;
-    fields = Hashtbl.create 16;
-    funs = Hashtbl.create 16;
-    globals = Hashtbl.create 16;
-    rules = genv.rules;
-    warnings = [];
-    late_mono = Hashtbl.create 8;
-    field_sharing = genv.field_sharing;
-    outcomes = Hashtbl.create 8;
-    budget = genv.budget;
-    pc =
-      Some
-        {
-          pc_genv = genv;
-          pc_bind = Hashtbl.create 64;
-          pc_gmirror = Hashtbl.create 64;
-          pc_cmirror = Hashtbl.create 64;
-          pc_autos = ref [];
-          pc_pub = pub;
-        };
-    par = None;
-    compact = genv.compact;
-    shapes = Shape.create_table ();
-    imemo = Hashtbl.create 32;
-    memo_ok = Hashtbl.create 16;
-    fdg = genv.fdg;
-  }
-
-let worker_pc env =
-  match env.pc with Some pc -> pc | None -> invalid_arg "not a worker env"
-
-(* Everything a finished task hands to the merge, in the worker's own
-   terms. *)
-type task_result = {
-  tr_batch : Solver.batch;
-  tr_bind : (int, gbind) Hashtbl.t;
-  tr_autos : (string * cell) list;  (* creation order *)
-  tr_warnings : string list;  (* newest first, as accumulated *)
-  tr_outcomes : (string * outcome) list;
-  tr_ifaces : (Cast.fundef * fsig) list;  (* [] when degraded / mono *)
-  tr_scheme : Solver.scheme option;  (* None in mono mode / when degraded *)
-  tr_aux : Solver.stats;  (* worker-store counters (compaction, memo) *)
-}
-
-let task_result wenv ~ifaces ~scheme : task_result =
-  let pc = worker_pc wenv in
-  {
-    tr_batch = Solver.export wenv.store;
-    tr_bind = pc.pc_bind;
-    tr_autos = List.rev !(pc.pc_autos);
-    tr_warnings = wenv.warnings;
-    tr_outcomes = Hashtbl.fold (fun k v acc -> (k, v) :: acc) wenv.outcomes [];
-    tr_ifaces = ifaces;
-    tr_scheme = scheme;
-    tr_aux = Solver.stats wenv.store;
-  }
-
-(* Merge one worker's result into the shared env, in deterministic task
-   order: absorb the batch (mirrors bind to their shared originals; every
-   other variable is re-created in creation order, reproducing the
-   variable and atom sequence of a serial run), materialize auto globals,
-   and translate interfaces and scheme into shared-store terms. Returns
-   the interface entries to report. *)
-let merge_result genv (r : task_result) : (string * fsig) list =
-  Solver.merge_aux_stats genv.store r.tr_aux;
-  let bind v =
-    match Hashtbl.find_opt r.tr_bind (Solver.var_id v) with
-    | Some (Gvar g) -> Some g
-    | Some (Gauto name) ->
-        (* materialized by an earlier batch, or created fresh right here *)
-        Option.map (fun (c : cell) -> c.q) (Hashtbl.find_opt genv.globals name)
-    | None -> None
-  in
-  let skippable =
-    (match r.tr_scheme with None -> true | Some _ -> false)
-    && r.tr_ifaces = [] && r.tr_autos = []
-    && Solver.batch_skippable ~bind r.tr_batch
-  in
-  if skippable then begin
-    (* the absorb would create no variable and add no atom: skip it, keep
-       only the side reports (common for leaf functions whose body
-       touches nothing beyond its mirrored interface) *)
-    Solver.note_skipped_batch genv.store;
-    List.iter (fun (n, o) -> Hashtbl.replace genv.outcomes n o) r.tr_outcomes;
-    genv.warnings <- r.tr_warnings @ genv.warnings;
-    []
-  end
-  else begin
-  let rn = Solver.absorb genv.store ~bind r.tr_batch in
-  let rnv v = match rn v with Some v' -> v' | None -> v in
-  List.iter
-    (fun (name, (c : cell)) ->
-      if not (Hashtbl.mem genv.globals name) then begin
-        let gc = { q = rnv c.q; contents = RBase } in
-        Hashtbl.replace genv.globals name gc;
-        Hashtbl.replace genv.late_mono (Solver.var_id gc.q) ()
-      end)
-    r.tr_autos;
-  List.iter (fun (n, o) -> Hashtbl.replace genv.outcomes n o) r.tr_outcomes;
-  genv.warnings <- r.tr_warnings @ genv.warnings;
-  match r.tr_scheme with
-  | None ->
-      List.map
-        (fun ((f : Cast.fundef), s) -> (f.f_name, copy_fsig rnv s))
-        r.tr_ifaces
-  | Some sch ->
-      let rn_atom = function
-        | Solver.Avc (v, c, m, re) -> Solver.Avc (rnv v, c, m, re)
-        | Solver.Acv (c, v, m, re) -> Solver.Acv (c, rnv v, m, re)
-        | Solver.Avv (a, b, m, re) -> Solver.Avv (rnv a, rnv b, m, re)
-      in
-      let sch_g =
-        Solver.make_scheme
-          ~locals:(List.map rnv (Solver.scheme_locals sch))
-          ~atoms:(List.map rn_atom (Solver.scheme_atoms sch))
-      in
-      let multi = match r.tr_ifaces with _ :: _ :: _ -> true | _ -> false in
-      List.map
-        (fun ((f : Cast.fundef), s) ->
-          let s_g = copy_fsig rnv s in
-          (* same member projection the worker registered locally, over
-             the shared-store translation of the scheme *)
-          let sch_f = if multi then member_scheme genv sch_g s_g else sch_g in
-          Hashtbl.replace genv.funs f.f_name (FPoly (sch_f, s_g));
-          (f.f_name, s_g))
-        r.tr_ifaces
-  end
-
-(* Wavefront scheduling of the SCC DAG: an SCC is ready once all its
-   callees' SCCs have completed and published their summaries; ready SCCs
-   run concurrently on the pool, each inferring into a private store.
-   Batches are merged serially in SCC index order — the serial traversal
-   order — so the shared store, and hence every reported figure, is
-   identical to a serial run's. *)
-let run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget mode
-    ~(process :
-       env ->
-       scc:string list ->
-       members:Cast.fundef list ->
-       (Cast.fundef * fsig) list * Solver.scheme) (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let genv = make_env ?rules ?field_sharing ?compact ?budget mode prog in
-  build_global_env genv;
-  let t0 = Unix.gettimeofday () in
-  let fdg = Lazy.force genv.fdg in
-  let sccs = Array.of_list fdg.Fdg.sccs in
-  let n = Array.length sccs in
-  let in_degree0, dependents = Fdg.scc_deps fdg in
-  let indeg = Array.copy in_degree0 in
-  let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 64 } in
-  let results : task_result option array = Array.make n None in
-  let m = Mutex.create () in
-  Pool.with_pool ~jobs (fun pool ->
-      let rec task i () =
-        let members =
-          List.filter_map (fun name -> Cprog.find_fun prog name) sccs.(i)
-        in
-        let wenv = worker_env genv pub in
-        let degrade_scc reason =
-          List.iter
-            (fun (f : Cast.fundef) -> degrade wenv f.f_name reason)
-            members
-        in
-        let r =
-          match budget_reason wenv with
-          | Some reason ->
-              degrade_scc ("budget exhausted: " ^ reason);
-              task_result wenv ~ifaces:[] ~scheme:None
-          | None -> (
-              match process wenv ~scc:sccs.(i) ~members with
-              | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-              | exception e ->
-                  degrade_scc (reason_of_exn e);
-                  (* keep the partial batch: a degraded serial SCC also
-                     leaves its partial constraints in the store *)
-                  task_result wenv ~ifaces:[] ~scheme:None
-              | scc_ifaces, sch ->
-                  List.iter
-                    (fun ((f : Cast.fundef), _) -> mark_analyzed wenv f.f_name)
-                    scc_ifaces;
-                  task_result wenv ~ifaces:scc_ifaces ~scheme:(Some sch))
-        in
-        (* publish before releasing dependents: they instantiate us.
-           Member projection happens outside the lock — consumers only
-           ever see the per-member scheme, matching what the serial run
-           registers. *)
-        (match r.tr_scheme with
-        | Some sch ->
-            let multi =
-              match r.tr_ifaces with _ :: _ :: _ -> true | _ -> false
-            in
-            let entries =
-              List.map
-                (fun ((f : Cast.fundef), s) ->
-                  let sch_m = if multi then member_scheme genv sch s else sch in
-                  ( f.f_name,
-                    { p_scheme = sch_m; p_fsig = s; p_bind = r.tr_bind } ))
-                r.tr_ifaces
-            in
-            Mutex.lock pub.pub_m;
-            List.iter
-              (fun (n, e) -> Hashtbl.replace pub.pub_tbl n e)
-              entries;
-            Mutex.unlock pub.pub_m
-        | None -> ());
-        let ready = ref [] in
-        Mutex.lock m;
-        results.(i) <- Some r;
-        List.iter
-          (fun j ->
-            indeg.(j) <- indeg.(j) - 1;
-            if indeg.(j) = 0 then ready := j :: !ready)
-          dependents.(i);
-        Mutex.unlock m;
-        List.iter (fun j -> Pool.submit pool (task j)) !ready
-      in
-      Array.iteri
-        (fun i d -> if d = 0 then Pool.submit pool (task i))
-        in_degree0;
-      Pool.wait pool);
-  let t_gen = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  (* the merge replays variables the workers already charged against the
-     shared budget; don't charge them twice *)
-  Solver.set_budget genv.store None;
-  let ifaces = ref [] in
-  (* drop each batch as soon as it is merged: a retained batch pins the
-     whole worker arena (its variables point back at their store's
-     columns), which is where the multi-gigaword jobs>1 heap came from *)
-  Array.iteri
-    (fun i -> function
-      | Some r ->
-          List.iter (fun e -> ifaces := e :: !ifaces) (merge_result genv r);
-          results.(i) <- None
-      | None -> ())
-    results;
-  Solver.set_budget genv.store genv.budget;
-  analyze_global_inits genv;
-  genv.par <-
-    Some
-      {
-        ps_jobs = jobs;
-        ps_tasks = n;
-        ps_gen_s = t_gen;
-        ps_merge_s = Unix.gettimeofday () -. t1;
-      };
-  (genv, List.rev !ifaces)
-
-(* Mono map-reduce: interfaces are built serially in the shared store
-   (pass 1, unchanged), then bodies fan out one task per function; every
-   body generates into a private store against mirrored interfaces, and
-   the batches merge back in function order. *)
-let run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
-  let genv = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
-  build_global_env genv;
-  let funs = Cprog.functions prog in
-  let ifaces =
-    timed_phase genv Solver.Congen (fun () ->
-        List.filter_map
-          (fun (f : Cast.fundef) ->
-            match guarded genv f.f_name (fun () -> iface_of_fundef genv f) with
-            | Some s ->
-                Hashtbl.replace genv.funs f.f_name (FMono s);
-                Some (f.f_name, s)
-            | None -> None)
-          funs)
-  in
-  let t0 = Unix.gettimeofday () in
-  let pub = { pub_m = Mutex.create (); pub_tbl = Hashtbl.create 1 } in
-  let work =
-    Array.of_list
-      (List.filter
-         (fun (f : Cast.fundef) -> Hashtbl.mem genv.funs f.f_name)
-         funs)
-  in
-  let results : task_result option array =
-    Array.make (Array.length work) None
-  in
-  Pool.with_pool ~jobs (fun pool ->
-      Array.iteri
-        (fun i (f : Cast.fundef) ->
-          Pool.submit pool (fun () ->
-              let wenv = worker_env genv pub in
-              (match Hashtbl.find_opt genv.funs f.f_name with
-              | Some (FMono s) ->
-                  timed_phase wenv Solver.Congen (fun () ->
-                      ignore
-                        (guarded wenv f.f_name (fun () ->
-                             analyze_body wenv f
-                               (mirror_fsig wenv (worker_pc wenv) s))))
-              | _ -> ());
-              (* distinct indices: no write race, and Pool.wait's queue
-                 mutex orders these writes before the main-domain reads *)
-              results.(i) <- Some (task_result wenv ~ifaces:[] ~scheme:None)))
-        work;
-      Pool.wait pool);
-  let t_gen = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  Solver.set_budget genv.store None;
-  (* free each worker batch right after its merge (see run_sccs_par) *)
-  Array.iteri
-    (fun i -> function
-      | Some r ->
-          ignore (merge_result genv r : (string * fsig) list);
-          results.(i) <- None
-      | None -> ())
-    results;
-  Solver.set_budget genv.store genv.budget;
-  analyze_global_inits genv;
-  genv.par <-
-    Some
-      {
-        ps_jobs = jobs;
-        ps_tasks = Array.length work;
-        ps_gen_s = t_gen;
-        ps_merge_s = Unix.gettimeofday () -. t1;
-      };
-  (genv, ifaces)
-
-let run_poly_par ~jobs ?rules ?field_sharing ?(simplify = false) ?compact
-    ?budget prog =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Poly prog
-    ~process:(fun wenv ~scc:_ ~members ->
-      let pc = worker_pc wenv in
-      let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
-      poly_scc wenv ~is_global ~simplify members)
-
-let run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog =
-  run_sccs_par ~jobs ?rules ?field_sharing ?compact ?budget Polyrec prog
-    ~process:(fun wenv ~scc ~members ->
-      let pc = worker_pc wenv in
-      let is_global v = Hashtbl.mem pc.pc_bind (Solver.var_id v) in
-      polyrec_scc wenv ~is_global prog scc members)
-
-(** Run an analysis. [jobs > 1] runs the multicore engine (wavefront over
-    the FDG for the polymorphic modes, per-function map-reduce for mono);
-    results are deterministic and identical to [jobs = 1], which takes the
-    plain serial path. *)
-let run ?rules ?field_sharing ?simplify ?compact ?budget ?(jobs = 1) mode prog
-    =
-  if jobs > 1 then
-    match mode with
-    | Mono -> run_mono_par ~jobs ?rules ?field_sharing ?compact ?budget prog
-    | Poly ->
-        run_poly_par ~jobs ?rules ?field_sharing ?simplify ?compact ?budget
-          prog
-    | Polyrec ->
-        run_polyrec_par ~jobs ?rules ?field_sharing ?compact ?budget prog
-  else
-    match mode with
-    | Mono -> run_mono ?rules ?field_sharing ?compact ?budget prog
-    | Poly -> run_poly ?rules ?field_sharing ?simplify ?compact ?budget prog
-    | Polyrec -> run_polyrec ?rules ?field_sharing ?compact ?budget prog
+(** Run an analysis. [jobs] is accepted and ignored: the analysis is
+    serial (the frontend parse is what [--jobs] parallelizes). It remains
+    only because the perfbench tool still passes it. *)
+let run ?rules ?field_sharing ?simplify ?compact ?budget
+    ?jobs:(_ : int option) mode prog =
+  match mode with
+  | Mono -> run_mono ?rules ?field_sharing ?compact ?budget prog
+  | Poly -> run_poly ?rules ?field_sharing ?simplify ?compact ?budget prog
+  | Polyrec -> run_polyrec ?rules ?field_sharing ?compact ?budget prog
 
 (** Solver statistics accumulated by the analysis (see {!Solver.stats}). *)
 let stats (env : env) = Solver.stats env.store

@@ -90,8 +90,8 @@ let scc_count t = List.length t.sccs
 let largest_scc t =
   List.fold_left (fun m s -> max m (List.length s)) 0 t.sccs
 
-(* Per-SCC dependency structure over the indices of [t.sccs], for the
-   wavefront scheduler. An edge [f -> g] means [f] mentions [g], so [f]'s
+(* Per-SCC dependency structure over the indices of [t.sccs], for
+   {!wavefront_width}. An edge [f -> g] means [f] mentions [g], so [f]'s
    SCC depends on (must be analyzed after) [g]'s. [in_degree.(i)] counts
    the distinct SCCs that SCC [i] depends on; [dependents.(j)] lists the
    SCCs depending on [j] — the candidates released when [j] completes. *)

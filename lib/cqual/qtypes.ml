@@ -257,8 +257,8 @@ module Shape = struct
     by_cell : (int, t) Hashtbl.t;
         (* root-cell intern: uid of an [RPtr] root's qualifier → shape.
            Sound because a cell's reachable structure is fixed once its
-           builder returns ([copy_rt]/[mirror]/decode tie the knot before
-           exposing the cell), and a qualifier variable shared between two
+           builder returns ([copy_rt] ties the knot before exposing the
+           cell), and a qualifier variable shared between two
            cells only arises through structure-preserving copies — the
            cells are isomorphic, so their shapes coincide. *)
   }

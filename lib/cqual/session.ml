@@ -4,7 +4,7 @@
     batch entry points that drive one-shot runs over the same machinery.
 
     The staged pipeline Table 2 and Figure 6 are produced from lives
-    here; {!Driver} re-exports the batch surface for existing callers.
+    here, along with the batch entry points the CLIs call.
     A {!t} keeps one warm artifact between edits: the per-unit AST memo
     (keyed by unit content digest), so after {!update_unit} only the
     edited unit is lexed and parsed again; the link and the analysis
@@ -66,7 +66,8 @@ type run = {
       (** maximum SCCs simultaneously ready under wavefront scheduling: an
           upper bound on useful analysis parallelism *)
   par : Analysis.par_stats option;
-      (** parallel-engine phase breakdown; [None] for serial runs *)
+      (** always [None]; remains only for the perfbench tool, which
+          reads it *)
   frontend : frontend_stats option;
       (** per-unit frontend phase breakdown; [None] for the concat
           oracle, single-source runs, and whole-run cache hits *)
@@ -170,8 +171,8 @@ let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
          (match max_errors with Some n -> string_of_int n | None -> "-");
        ])
 
-(* the run record's cacheable core: no wall-clock, no parallel-phase
-   breakdown, solver counters sanitized of nondeterministic fields *)
+(* the run record's cacheable core: no wall-clock, solver counters
+   sanitized of nondeterministic fields *)
 type cached_run = {
   cr_results : Report.results;
   cr_lines : int;
@@ -200,12 +201,12 @@ let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
 
 (* analysis + measurement, also returning the live interfaces and the
    stable-key position index the persistent session queries through *)
-let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?locate mode prog =
+let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
+    mode prog =
   let (env, ifaces), t =
     time (fun () ->
-        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-          mode prog)
+        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget mode
+          prog)
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
@@ -219,11 +220,10 @@ let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
     (Float.max 0. (t2 -. solve_d));
   (env, ifaces, results, index, t +. t2)
 
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?jobs mode prog
-    =
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget mode prog =
   let env, _, results, _, t =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      mode prog
+    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget mode
+      prog
   in
   (env, results, t)
 
@@ -241,11 +241,11 @@ type compiled = {
   co_frontend : frontend_stats option;
 }
 
-let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?locate mode (co : compiled) =
+let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
+    (co : compiled) =
   let env, ifaces, results, index, t_analysis =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?locate mode co.co_prog
+    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
+      mode co.co_prog
   in
   (* the graph the polymorphic analyses scheduled from (built here only
      for mono, which never needed it) *)
@@ -282,11 +282,11 @@ let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
   in
   (run, env, ifaces, index)
 
-let finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ?locate
-    mode (co : compiled) : run =
+let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
+    (co : compiled) : run =
   let run, _, _, _ =
-    finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-      ?locate mode co
+    finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
+      co
   in
   run
 
@@ -419,16 +419,16 @@ let locate_of_spans (spans : span list) _fname line =
    described by [spans]. The cold path is the pre-cache pipeline verbatim;
    the cached path layers two tiers over it — whole-run and parsed AST —
    each of which degrades to the tier below on any miss or rejection, so
-   every fault converges to the cold result. *)
+   every fault converges to the cold result. [jobs] is accepted for
+   symmetry with {!run_units}: one program is parsed serially. *)
 let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
-    ?compact ?budget ?jobs ?max_errors ?cache ?lines ~(spans : span list)
-    (src : string) : run =
+    ?compact ?budget ?jobs:(_ : int option) ?max_errors ?cache ?lines
+    ~(spans : span list) (src : string) : run =
   let lines = match lines with Some n -> n | None -> Cfront.Cprog.count_lines src in
   let localize = localize_concat ~spans in
   let locate = locate_of_spans spans in
   let finish co =
-    finish ?rules ?field_sharing ?simplify ?compact ?budget ?jobs ~locate
-      mode co
+    finish ?rules ?field_sharing ?simplify ?compact ?budget ~locate mode co
   in
   let compiled pr prog t_compile =
     {
@@ -822,7 +822,7 @@ let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
   | None ->
       let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
       let run =
-        finish ?rules ?field_sharing ?simplify ?compact ?budget ~jobs
+        finish ?rules ?field_sharing ?simplify ?compact ?budget
           ~locate:(locate_of_tbl unit_of_tbl) mode co
       in
       (match cache with
@@ -1079,7 +1079,7 @@ let ensure_mode t mode : mode_state =
       let co, tbl = ensure_compiled t in
       let run, env, ifaces, index =
         finish_full ~rules:t.s_rules ?field_sharing:t.s_field_sharing
-          ?simplify:t.s_simplify ?compact:t.s_compact ~jobs:t.s_jobs
+          ?simplify:t.s_simplify ?compact:t.s_compact
           ~locate:(locate_of_tbl tbl) mode co
       in
       let ms = { ms_run = run; ms_env = env; ms_ifaces = ifaces; ms_index = index } in
@@ -1298,15 +1298,9 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
           fs.fs_units fs.fs_reparsed fs.fs_lex_s fs.fs_parse_s fs.fs_build_s
           fs.fs_link_s
     | None -> ());
-    (match oversubscription ~jobs with
+    match oversubscription ~jobs with
     | Some cores ->
         pr "oversubscribed: %d jobs on %d available cores\n" jobs cores
-    | None -> ());
-    match r.par with
-    | Some p ->
-        pr "parallel: %d jobs, %d tasks, generate %.3fs, merge %.3fs\n"
-          p.Analysis.ps_jobs p.Analysis.ps_tasks p.Analysis.ps_gen_s
-          p.Analysis.ps_merge_s
     | None -> ()
   end;
   pr

@@ -1,7 +1,6 @@
 (** The analysis session: the const-inference pipeline as named stages —
     unit table → linked program → FDG → published schemes → solved store
-    → report — behind both one-shot batch entry points (re-exported by
-    {!Driver}) and a persistent {!t} that keeps warm artifacts between
+    → report — behind both one-shot batch entry points and a persistent {!t} that keeps warm artifacts between
     runs and answers position-level queries without re-parsing or
     re-solving clean units. See DESIGN.md "Session architecture & wire
     protocol". *)
@@ -44,7 +43,9 @@ type run = {
   fdg_scc_count : int;
   fdg_largest_scc : int;
   wavefront_width : int;
-  par : Analysis.par_stats option;  (** [None] for serial runs *)
+  par : Analysis.par_stats option;
+      (** always [None]; remains only for the perfbench tool, which
+          reads it *)
   frontend : frontend_stats option;
       (** [None] for the concat oracle, single-source runs, and
           whole-run cache hits *)
@@ -105,7 +106,6 @@ val analyze :
   ?simplify:bool ->
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
   Analysis.mode ->
   Cfront.Cprog.t ->
   Analysis.env * Report.results * float
@@ -127,7 +127,6 @@ val finish :
   ?simplify:bool ->
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
   ?locate:(string -> int -> string * int) ->
   Analysis.mode ->
   compiled ->
@@ -150,7 +149,9 @@ val run_concat :
   spans:span list ->
   string ->
   run
-(** One mode over an already-concatenated program. *)
+(** One mode over an already-concatenated program. [jobs] is accepted
+    for symmetry with {!run_units} and ignored: one program is parsed
+    serially. *)
 
 val run_units :
   ?mode:Analysis.mode ->
@@ -234,7 +235,8 @@ type t
     dropped on any unit edit; the content-addressed per-unit AST memo
     survives. Re-running after an edit therefore costs one parse per
     edited unit, the link, and the same serial analysis a batch
-    [cqualc] run performs (parallel under [jobs > 1]). *)
+    [cqualc] run performs. [jobs] sets the domains that parse units
+    and evaluate [whatif] batches; the analysis itself is serial. *)
 
 val create :
   ?rules:Analysis.qrules ->

@@ -2,7 +2,7 @@
    store (Solver_ref, the PR 5 implementation kept verbatim): identical
    op sequences must produce byte-identical counters, solutions, and
    error messages — serially and through the export/absorb batch path
-   the parallel engine uses. Plus determinism of the multi-file cbench
+   the what-if store clone uses. Plus determinism of the multi-file cbench
    corpora and the multi-file driver entry point. *)
 
 open Typequal
@@ -45,7 +45,6 @@ module type CORE = sig
     memo_reject_nonflat_ret : int;
     memo_reject_may_violate : int;
     memo_misses : int;
-    empty_batches_skipped : int;
     heap_words : int;
     top_heap_words : int;
     cores_available : int;
@@ -199,9 +198,9 @@ module Drive (C : CORE) = struct
     ignore (C.solve st);
     observe sp st v
 
-  (* the parallel engine's path: build in a worker store, export the
-     batch, splice it into a fresh main store, then observe through the
-     returned renaming *)
+  (* the batch path: build in one store, export the batch, splice it
+     into a fresh main store, then observe through the returned
+     renaming *)
   let run_batched ?(observe = digest) sp n ops =
     let w = C.create sp in
     let v = Array.init n (fun _ -> C.fresh w) in
@@ -214,9 +213,8 @@ module Drive (C : CORE) = struct
     observe sp main v'
 
   (* splice-fast absorb vs the Hashtbl-replay oracle, including bound
-     (mirror) variables: the first [n/3] batch variables resolve to
-     pre-existing variables of the main store, exactly as worker mirrors
-     of shared globals do in the parallel engine *)
+     variables: the first [n/3] batch variables resolve to pre-existing
+     variables of the main store through [?bind] *)
   let run_merge ~replay ?(observe = digest) sp n ops =
     let w = C.create sp in
     let v = Array.init n (fun _ -> C.fresh w) in
@@ -256,7 +254,7 @@ let prop_batch_parity =
 let prop_absorb_fast_eq_replay =
   (* the PR 8 splice-fast absorb must be observationally identical to the
      retained Hashtbl-replay path: counters, solutions and errors, with
-     mirror bindings in play *)
+     [?bind] bindings in play *)
   QCheck2.Test.make ~count:200
     ~name:"arena: splice-fast absorb = replay absorb (counters, bindings)"
     scenario_gen
@@ -302,13 +300,13 @@ let test_project_shape () =
   Alcotest.(check bool) "multiple translation units" true
     (List.length files >= 3);
   (* every unit must parse as part of the whole program *)
-  let r = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly files in
-  Alcotest.(check bool) "functions analyzed" true (r.Cqual.Driver.n_functions > 0)
+  let r = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly files in
+  Alcotest.(check bool) "functions analyzed" true (r.Cqual.Session.n_functions > 0)
 
 let test_multifile_driver_parity () =
   let files = Cbench.Programs.miniproject in
-  let serial = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
+  let par = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
   Alcotest.(check string) "miniproject: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par);
   Alcotest.(check int) "no degradations" 0
@@ -316,14 +314,14 @@ let test_multifile_driver_parity () =
        (List.filter
           (fun (_, o) ->
             match o with Cqual.Analysis.Degraded _ -> true | _ -> false)
-          serial.Cqual.Driver.results.Cqual.Report.outcomes))
+          serial.Cqual.Session.results.Cqual.Report.outcomes))
 
 let test_scale_corpus_parity () =
   (* a small instance of the scale corpus end-to-end: serial and jobs-4
      reports identical, as CI diffs on the big one *)
   let files = Cbench.Gen.generate_project ~seed:0xA12 ~target_lines:6_000 () in
-  let serial = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Driver.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
+  let par = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
   Alcotest.(check string) "scale corpus: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par)
 

@@ -5,10 +5,10 @@
 open Cqual
 
 let run ?(mode = Analysis.Mono) ?rules src =
-  try Driver.run_source ~mode ?rules src
-  with Driver.Error m -> Alcotest.failf "driver error: %s\nin:\n%s" m src
+  try Session.run_source ~mode ?rules src
+  with Session.Error m -> Alcotest.failf "driver error: %s\nin:\n%s" m src
 
-let results ?mode src = (run ?mode src).Driver.results
+let results ?mode src = (run ?mode src).Session.results
 
 (* find the verdict of a specific position *)
 let verdict_of ?mode src fname where level =
@@ -309,7 +309,7 @@ let test_fdg_order () =
      int b(void) { return c(); }\n\
      int a(void) { return b(); }"
   in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let fdg = Fdg.build prog in
   Alcotest.(check int) "3 sccs" 3 (Fdg.scc_count fdg);
   (* reverse topological: callee first *)
@@ -323,7 +323,7 @@ let test_fdg_scc () =
      int odd(int n) { return even(n); }\n\
      int main(void) { return even(2); }"
   in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let fdg = Fdg.build prog in
   Alcotest.(check int) "2 sccs" 2 (Fdg.scc_count fdg);
   Alcotest.(check int) "largest = 2" 2 (Fdg.largest_scc fdg);
@@ -340,7 +340,7 @@ let test_fdg_function_pointer_mention () =
     "int cb(int x) { return x; }\n\
      void install(void) { int (*f)(int) = cb; }"
   in
-  let prog = Driver.compile src in
+  let prog = Session.compile src in
   let fdg = Fdg.build prog in
   match fdg.Fdg.sccs with
   | [ [ "cb" ]; [ "install" ] ] -> ()
@@ -534,12 +534,12 @@ let tests = tests @ polyrec_tests
 (* ---------------- C taint analysis ($-qualifiers, Section 2.5) ------- *)
 
 let taint ?(mode = Analysis.Mono) src =
-  (run ~mode ~rules:Analysis.taint_rules src).Driver.results
+  (run ~mode ~rules:Analysis.taint_rules src).Session.results
 
 let run_taint ?(mode = Analysis.Mono) src =
   try
-    (Driver.run_source ~mode ~rules:Analysis.taint_rules src).Driver.results
-  with Driver.Error m -> Alcotest.failf "driver error: %s" m
+    (Session.run_source ~mode ~rules:Analysis.taint_rules src).Session.results
+  with Session.Error m -> Alcotest.failf "driver error: %s" m
 
 let test_taint_source_to_sink () =
   (* format-string-bug shape: network data reaches a trusted sink *)

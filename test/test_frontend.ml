@@ -11,19 +11,19 @@ module Solver = Typequal.Solver
 
 (* everything observable from a run: the test_parallel digest plus the
    rendered diagnostics (unit prefix and all) *)
-let digest (r : Driver.run) : string =
+let digest (r : Session.run) : string =
   let b = Buffer.create 1024 in
-  let res = r.Driver.results in
+  let res = r.Session.results in
   List.iter
     (fun d -> Buffer.add_string b (Diag.to_string d ^ "\n"))
-    r.Driver.diagnostics;
+    r.Session.diagnostics;
   List.iter
     (fun pv -> Buffer.add_string b (Fmt.str "%a\n" Report.pp_position pv))
     res.Report.positions;
   Buffer.add_string b
     (Printf.sprintf "lines=%d declared=%d possible=%d must=%d total=%d \
                      errors=%d\n"
-       r.Driver.lines res.Report.declared res.Report.possible res.Report.must
+       r.Session.lines res.Report.declared res.Report.possible res.Report.must
        res.Report.total res.Report.type_errors);
   List.iter
     (fun w -> Buffer.add_string b ("warning " ^ w ^ "\n"))
@@ -35,7 +35,7 @@ let digest (r : Driver.run) : string =
         | Analysis.Analyzed -> "analyzed " ^ f ^ "\n"
         | Analysis.Degraded why -> "degraded " ^ f ^ ": " ^ why ^ "\n"))
     res.Report.outcomes;
-  let st = r.Driver.solver_stats in
+  let st = r.Session.solver_stats in
   Buffer.add_string b
     (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
        st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
@@ -44,11 +44,11 @@ let digest (r : Driver.run) : string =
   Buffer.contents b
 
 let run ?mode ?jobs ?max_errors frontend files =
-  Driver.run_sources ~frontend ?mode ?jobs ?max_errors files
+  Session.run_sources ~frontend ?mode ?jobs ?max_errors files
 
 (* both frontends, serial and jobs 4, must agree observably *)
 let check_parity ?mode ?max_errors what files =
-  let d0 = digest (run ?mode ?max_errors ~jobs:1 Driver.Per_unit files) in
+  let d0 = digest (run ?mode ?max_errors ~jobs:1 Session.Per_unit files) in
   List.iter
     (fun (label, frontend, jobs) ->
       Alcotest.(check string)
@@ -56,9 +56,9 @@ let check_parity ?mode ?max_errors what files =
         d0
         (digest (run ?mode ?max_errors ~jobs frontend files)))
     [
-      ("concat serial", Driver.Concat, 1);
-      ("per-unit jobs 4", Driver.Per_unit, 4);
-      ("concat jobs 4", Driver.Concat, 4);
+      ("concat serial", Session.Concat, 1);
+      ("per-unit jobs 4", Session.Per_unit, 4);
+      ("concat jobs 4", Session.Concat, 4);
     ];
   d0
 
@@ -92,7 +92,7 @@ let test_unit_boundary_positions () =
     ]
   in
   let check_diags label r =
-    match r.Driver.diagnostics with
+    match r.Session.diagnostics with
     | [ d ] ->
         Alcotest.(check string) (label ^ ": unit") "c.c"
           (Option.value d.Diag.d_unit ~default:"<none>");
@@ -100,14 +100,14 @@ let test_unit_boundary_positions () =
     | ds -> Alcotest.failf "%s: expected 1 diagnostic, got %d" label
               (List.length ds)
   in
-  check_diags "per-unit" (run ~mode:Analysis.Mono Driver.Per_unit files);
-  check_diags "concat" (run ~mode:Analysis.Mono Driver.Concat files);
+  check_diags "per-unit" (run ~mode:Analysis.Mono Session.Per_unit files);
+  check_diags "concat" (run ~mode:Analysis.Mono Session.Concat files);
   ignore (check_parity ~mode:Analysis.Mono "boundary diag" files)
 
 (* ---------------- cross-unit environment threading ---------------- *)
 
-let frontend_stats (r : Driver.run) =
-  match r.Driver.frontend with
+let frontend_stats (r : Session.run) =
+  match r.Session.frontend with
   | Some fs -> fs
   | None -> Alcotest.fail "expected per-unit frontend stats"
 
@@ -121,11 +121,11 @@ let test_typedef_threading () =
       ("use.c", "myint global_x;\nint f(myint m) { return m; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono Session.Per_unit files in
   Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   Alcotest.(check (list string)) "no diagnostics" []
-    (List.map Diag.to_string r.Driver.diagnostics);
+    (List.map Diag.to_string r.Session.diagnostics);
   ignore (check_parity ~mode:Analysis.Mono "typedef threading" files)
 
 let test_enum_threading () =
@@ -135,9 +135,9 @@ let test_enum_threading () =
       ("use.c", "int f(void) { return GREEN + BLUE; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono Session.Per_unit files in
   Alcotest.(check bool) "use.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "enum threading" files)
 
 let test_anon_tag_threading () =
@@ -150,9 +150,9 @@ let test_anon_tag_threading () =
       ("b.c", "struct { int y; } g_b;\nint f(void) { return g_b.y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono Session.Per_unit files in
   Alcotest.(check bool) "b.c reparsed" true
-    ((frontend_stats r).Driver.fs_reparsed >= 1);
+    ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "anon tags" files)
 
 let test_independent_units_not_reparsed () =
@@ -162,10 +162,10 @@ let test_independent_units_not_reparsed () =
       ("b.c", "int g(int y) { return y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Driver.Per_unit files in
+  let r = run ~mode:Analysis.Mono Session.Per_unit files in
   Alcotest.(check int) "no reparses" 0
-    (frontend_stats r).Driver.fs_reparsed;
-  Alcotest.(check int) "two units" 2 (frontend_stats r).Driver.fs_units
+    (frontend_stats r).Session.fs_reparsed;
+  Alcotest.(check int) "two units" 2 (frontend_stats r).Session.fs_units
 
 (* ---------------- diagnostic budget across units ---------------- *)
 
@@ -183,11 +183,11 @@ let test_budget_crosses_boundary () =
   in
   let d = check_parity ~mode:Analysis.Mono ~max_errors:5 "budget" files in
   Alcotest.(check bool) "cap fired in b.c" true
-    (let r = run ~mode:Analysis.Mono ~max_errors:5 Driver.Per_unit files in
+    (let r = run ~mode:Analysis.Mono ~max_errors:5 Session.Per_unit files in
      List.exists
        (fun dg ->
          dg.Diag.d_code = "E0299" && dg.Diag.d_unit = Some "b.c")
-       r.Driver.diagnostics);
+       r.Session.diagnostics);
   Alcotest.(check bool) "digest mentions the cap" true
     (let sub = "E0299" in
      let n = String.length d and m = String.length sub in
@@ -205,8 +205,8 @@ let test_budget_exact_boundary () =
     ]
   in
   ignore (check_parity ~mode:Analysis.Mono ~max_errors:2 "exact boundary" files);
-  let r = run ~mode:Analysis.Mono ~max_errors:2 Driver.Per_unit files in
-  (match List.rev r.Driver.diagnostics with
+  let r = run ~mode:Analysis.Mono ~max_errors:2 Session.Per_unit files in
+  (match List.rev r.Session.diagnostics with
   | last :: _ ->
       Alcotest.(check string) "E0299 last" "E0299" last.Diag.d_code;
       Alcotest.(check string) "in b.c" "b.c"
@@ -214,7 +214,7 @@ let test_budget_exact_boundary () =
   | [] -> Alcotest.fail "expected diagnostics");
   (* b.c was never parsed: g contributes no outcome *)
   Alcotest.(check bool) "g not parsed" true
-    (not (List.mem_assoc "g" r.Driver.results.Report.outcomes))
+    (not (List.mem_assoc "g" r.Session.results.Report.outcomes))
 
 (* ---------------- many degraded functions (outcome construction) ----- *)
 
@@ -229,9 +229,9 @@ let test_many_degraded_outcomes () =
            Printf.sprintf "int f%04d(int *p) { return * ; }\n" i))
   in
   let r =
-    Driver.run_source ~mode:Analysis.Mono ~max_errors:(n + 1) src
+    Session.run_source ~mode:Analysis.Mono ~max_errors:(n + 1) src
   in
-  let outs = r.Driver.results.Report.outcomes in
+  let outs = r.Session.results.Report.outcomes in
   Alcotest.(check int) "all functions have outcomes" n (List.length outs);
   List.iteri
     (fun i (name, o) ->
@@ -262,9 +262,9 @@ let with_cache_dir f =
       with Sys_error _ -> ())
     (fun () -> f dir)
 
-let unit_counts (cs : Driver.cache_spec) =
+let unit_counts (cs : Session.cache_spec) =
   match
-    Hashtbl.find_opt (Typequal.Cache.stats cs.Driver.cs_cache).Typequal.Cache.by_kind
+    Hashtbl.find_opt (Typequal.Cache.stats cs.Session.cs_cache).Typequal.Cache.by_kind
       "unit"
   with
   | Some hm -> hm
@@ -276,12 +276,12 @@ let test_dirty_unit_reparses_one () =
       let nunits = List.length files in
       Alcotest.(check bool) "project has several units" true (nunits > 1);
       let open_cs () =
-        match Driver.open_cache ~opts_id:"test" dir with
+        match Session.open_cache ~opts_id:"test" dir with
         | Some cs -> cs
         | None -> Alcotest.fail "cannot open cache"
       in
       let cs = open_cs () in
-      let r_cold = Driver.run_sources ~mode:Analysis.Mono ~cache:cs files in
+      let r_cold = Session.run_sources ~mode:Analysis.Mono ~cache:cs files in
       Alcotest.(check (pair int int)) "cold: all units miss" (0, nunits)
         (unit_counts cs);
       let dirty =
@@ -291,25 +291,25 @@ let test_dirty_unit_reparses_one () =
         | [] -> assert false
       in
       let cs2 = open_cs () in
-      let r_dirty = Driver.run_sources ~mode:Analysis.Mono ~cache:cs2 dirty in
+      let r_dirty = Session.run_sources ~mode:Analysis.Mono ~cache:cs2 dirty in
       Alcotest.(check (pair int int)) "dirty: one unit re-parses"
         (nunits - 1, 1) (unit_counts cs2);
       (* the touched comment changes no report content except the line
          count *)
       Alcotest.(check int) "same verdicts"
-        r_cold.Driver.results.Report.possible
-        r_dirty.Driver.results.Report.possible)
+        r_cold.Session.results.Report.possible
+        r_dirty.Session.results.Report.possible)
 
 (* ---------------- oversubscription warning predicate ---------------- *)
 
 let test_oversubscription () =
   let cores = Typequal.Pool.cores_available () in
   Alcotest.(check (option int)) "jobs=1 never oversubscribes" None
-    (Driver.oversubscription ~jobs:1);
+    (Session.oversubscription ~jobs:1);
   Alcotest.(check (option int)) "cores+1 oversubscribes" (Some cores)
-    (Driver.oversubscription ~jobs:(cores + 1));
+    (Session.oversubscription ~jobs:(cores + 1));
   Alcotest.(check (option int)) "jobs=cores fits" None
-    (Driver.oversubscription ~jobs:cores)
+    (Session.oversubscription ~jobs:cores)
 
 let tests =
   [

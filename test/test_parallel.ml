@@ -1,6 +1,10 @@
-(* The multicore analysis engine (Pool + the wavefront/map-reduce drivers
-   in Analysis): determinism against the serial path, fault funneling, and
-   graceful budget degradation under parallelism. *)
+(* The domain pool, and the [--jobs] contract: a job count never changes
+   a report. The analysis is serial at every job count (only the per-unit
+   frontend parse and what-if batches use the pool), so these tests guard
+   that no job-count-dependent path creeps back in — including under
+   faults and budget exhaustion. Multi-file runs, where the pool actually
+   parses units, are covered by the arena, frontend, session and cache
+   suites at jobs 1 and 4. *)
 
 module Pool = Typequal.Pool
 module Budget = Typequal.Budget
@@ -19,8 +23,7 @@ let test_pool_runs_everything () =
       Alcotest.(check int) "all tasks ran" 200 (Atomic.get n))
 
 let test_pool_nested_submit () =
-  (* tasks submitting tasks (the wavefront release pattern): wait drains
-     transitively *)
+  (* tasks submitting tasks: wait drains transitively *)
   Pool.with_pool ~jobs:3 (fun pool ->
       let n = Atomic.make 0 in
       for _ = 1 to 10 do
@@ -57,9 +60,9 @@ let test_pool_serial_inline () =
    verdicts, counts, warnings, per-function outcomes, and the solver's
    structural counters. Wall-clock fields are excluded; all else must be
    identical across job counts. *)
-let digest (r : Driver.run) : string =
+let digest (r : Session.run) : string =
   let b = Buffer.create 1024 in
-  let res = r.Driver.results in
+  let res = r.Session.results in
   List.iter
     (fun pv -> Buffer.add_string b (Fmt.str "%a\n" Report.pp_position pv))
     res.Report.positions;
@@ -75,7 +78,7 @@ let digest (r : Driver.run) : string =
         | Analysis.Analyzed -> "analyzed " ^ f ^ "\n"
         | Analysis.Degraded why -> "degraded " ^ f ^ ": " ^ why ^ "\n"))
     res.Report.outcomes;
-  let st = r.Driver.solver_stats in
+  let st = r.Session.solver_stats in
   Buffer.add_string b
     (Printf.sprintf "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
        st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
@@ -87,15 +90,15 @@ let modes =
   [ ("mono", Analysis.Mono); ("poly", Analysis.Poly); ("polyrec", Analysis.Polyrec) ]
 
 let test_parallel_deterministic () =
-  (* random programs, every mode: a 4-domain run must be observably
-     identical to the serial run, down to the solver counters *)
+  (* random programs, every mode: a jobs-4 run must be observably
+     identical to the jobs-1 run, down to the solver counters *)
   List.iter
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:400 () in
       List.iter
         (fun (mname, mode) ->
-          let serial = Driver.run_source ~mode ~jobs:1 src in
-          let par = Driver.run_source ~mode ~jobs:4 src in
+          let serial = Session.run_source ~mode ~jobs:1 src in
+          let par = Session.run_source ~mode ~jobs:4 src in
           Alcotest.(check string)
             (Printf.sprintf "seed %d %s: jobs 4 = jobs 1" seed mname)
             (digest serial) (digest par))
@@ -107,32 +110,32 @@ let test_parallel_deterministic_taint () =
   let rules = Analysis.taint_rules in
   List.iter
     (fun (mname, mode) ->
-      let serial = Driver.run_source ~rules ~mode ~jobs:1 src in
-      let par = Driver.run_source ~rules ~mode ~jobs:2 src in
+      let serial = Session.run_source ~rules ~mode ~jobs:1 src in
+      let par = Session.run_source ~rules ~mode ~jobs:2 src in
       Alcotest.(check string)
         (Printf.sprintf "taint %s: jobs 2 = jobs 1" mname)
         (digest serial) (digest par))
     modes
 
 let test_parallel_repeatable () =
-  (* the same parallel run twice: scheduling nondeterminism must not leak *)
+  (* the same jobs-4 run twice: nothing nondeterministic may leak *)
   let src = Cbench.Gen.generate ~seed:15 ~target_lines:400 () in
-  let a = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
-  let b = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let a = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let b = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
   Alcotest.(check string) "two jobs-4 runs agree" (digest a) (digest b)
 
-(* ---------------- degradation under parallelism ---------------- *)
+(* ---------------- degradation at jobs > 1 ---------------- *)
 
 let test_budget_exhaustion_parallel () =
-  (* a budget that trips mid-run: the parallel engine must degrade —
+  (* a budget that trips mid-run at jobs 4: the analysis must degrade —
      every function still gets an outcome, nothing crashes, and the
      report is produced (the CLI exits 0 on this path) *)
   let src = Cbench.Gen.generate ~seed:16 ~target_lines:600 () in
   List.iter
     (fun (mname, mode) ->
       let budget = Budget.create ~max_vars:60 ~clock:Unix.gettimeofday () in
-      let r = Driver.run_source ~mode ~budget ~jobs:4 src in
-      let res = r.Driver.results in
+      let r = Session.run_source ~mode ~budget ~jobs:4 src in
+      let res = r.Session.results in
       let degraded =
         List.filter
           (fun (_, o) -> match o with Analysis.Degraded _ -> true | _ -> false)
@@ -145,13 +148,13 @@ let test_budget_exhaustion_parallel () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: every function has an outcome" mname)
         true
-        (List.length res.Report.outcomes >= r.Driver.n_functions))
+        (List.length res.Report.outcomes >= r.Session.n_functions))
     modes
 
 let test_faulting_scc_isolated () =
   (* [use] faults during analysis (its typedef was lost to parser
-     recovery, so interface construction raises): with jobs=4 the fault
-     degrades that function only, as in the serial engine *)
+     recovery, so interface construction raises): at jobs 1 and 4 the
+     fault degrades that function only *)
   let src =
     "typedef int T, 5;\n\
      int use(T *p) { return *p; }\n\
@@ -160,8 +163,8 @@ let test_faulting_scc_isolated () =
   in
   List.iter
     (fun jobs ->
-      let r = Driver.run_source ~mode:Analysis.Poly ~jobs src in
-      let outcome f = List.assoc f r.Driver.results.Report.outcomes in
+      let r = Session.run_source ~mode:Analysis.Poly ~jobs src in
+      let outcome f = List.assoc f r.Session.results.Report.outcomes in
       (match outcome "ok" with
       | Analysis.Analyzed -> ()
       | Analysis.Degraded why -> Alcotest.failf "ok degraded: %s" why);
@@ -169,9 +172,9 @@ let test_faulting_scc_isolated () =
       | Analysis.Degraded _ -> ()
       | Analysis.Analyzed -> Alcotest.fail "use should degrade")
     [ 1; 4 ];
-  (* and the two engines agree on the whole report *)
-  let serial = Driver.run_source ~mode:Analysis.Poly ~jobs:1 src in
-  let par = Driver.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  (* and the two job counts agree on the whole report *)
+  let serial = Session.run_source ~mode:Analysis.Poly ~jobs:1 src in
+  let par = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
   Alcotest.(check string) "fault parity" (digest serial) (digest par)
 
 let tests =

@@ -592,8 +592,8 @@ let prop_wider_space_parity =
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:60 () in
       let run rules =
-        (Cqual.Driver.run_source ~mode:Cqual.Analysis.Mono ~rules src)
-          .Cqual.Driver.results
+        (Cqual.Session.run_source ~mode:Cqual.Analysis.Mono ~rules src)
+          .Cqual.Session.results
       in
       let a = run Cqual.Analysis.const_rules and b = run wide_const_rules in
       a.Cqual.Report.total = b.Cqual.Report.total
@@ -610,3 +610,64 @@ let tests =
         prop_mixed_space_oracle;
         prop_wider_space_parity;
       ]
+
+(* ------------------------------------------------------------------ *)
+(* mono ⊑ poly ⊑ polyrec, as sets of positions (Section 4.3)            *)
+(* ------------------------------------------------------------------ *)
+
+(* Polymorphism only removes spurious flows between call sites, and
+   polymorphic recursion removes more, so every position that may be
+   const under a weaker mode may be const under a stronger one. Counting
+   [possible] would let one position appear while another vanishes; the
+   properties below compare the sets of stable position keys. *)
+let possible_keys (r : Cqual.Session.run) =
+  List.filter_map
+    (fun (p, v) ->
+      match v with
+      | Cqual.Report.Must_const | Cqual.Report.Either ->
+          Some (Cqual.Report.position_key p)
+      | Cqual.Report.Must_not_const -> None)
+    r.Cqual.Session.results.Cqual.Report.positions
+  |> List.sort_uniq compare
+
+let modes_nest run =
+  let keys mode = possible_keys (run mode) in
+  let mono = keys Cqual.Analysis.Mono
+  and poly = keys Cqual.Analysis.Poly
+  and polyrec = keys Cqual.Analysis.Polyrec in
+  let missing sub sup = List.filter (fun k -> not (List.mem k sup)) sub in
+  match (missing mono poly, missing poly polyrec) with
+  | [], [] -> Ok ()
+  | k :: _, _ -> Error ("possible under mono, not under poly: " ^ k)
+  | [], k :: _ -> Error ("possible under poly, not under polyrec: " ^ k)
+
+let prop_modes_nest_projects =
+  QCheck2.Test.make ~count:4
+    ~name:"possible-set nesting on projects"
+    QCheck2.Gen.(pair (int_range 1 100_000) (int_range 1_500 4_000))
+    (fun (seed, lines) ->
+      let files =
+        Cbench.Gen.generate_project ~files:3 ~seed ~target_lines:lines ()
+      in
+      match
+        modes_nest (fun mode -> Cqual.Session.run_sources ~mode files)
+      with
+      | Ok () -> true
+      | Error m ->
+          QCheck2.Test.fail_reportf "seed %d, %d lines: %s" seed lines m)
+
+let test_modes_nest_suite () =
+  List.iter
+    (fun (name, src) ->
+      match modes_nest (fun mode -> Cqual.Session.run_source ~mode src) with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    Cbench.Programs.all
+
+let tests =
+  tests
+  @ [
+      QCheck_alcotest.to_alcotest ~speed_level:`Slow prop_modes_nest_projects;
+      Alcotest.test_case "possible-set nesting on the suite"
+        `Quick test_modes_nest_suite;
+    ]
