@@ -43,12 +43,11 @@
                workloads; writes BENCH_scale.json. Only runs when named
                explicitly (or under "all") — the corpus is large.
                TYPEQUAL_SCALE_LINES overrides the line target.
-     frontend— per-unit parse+link vs the megastring concat oracle on the
-               million-line corpus: compile wall time (>= 1.3x serial),
-               compile-phase peak heap (strictly below concat's),
-               byte-identical reports at jobs 1/4 under both frontends,
-               and the per-unit AST cache re-parsing exactly the dirty
-               unit; writes BENCH_frontend.json. Only runs when named
+     frontend— per-unit parse+link on the million-line corpus: compile
+               wall time and peak heap, serial and at jobs 4, zero link
+               reparses, byte-identical reports at jobs 1/4, and the
+               per-unit AST cache re-parsing exactly the dirty unit;
+               writes BENCH_frontend.json. Only runs when named
                explicitly (or under "all").
                TYPEQUAL_FRONTEND_LINES overrides the line target.
      daemon  — the persistent Session behind typequald on the CI smoke
@@ -494,9 +493,12 @@ let ablation () =
      void f(struct buf *x, const char *s) { x->data = s; }\n\
      void g(struct buf *y) { *(y->data) = 'c'; }"
   in
-  let with_sharing = Session.run_source ~mode:Analysis.Mono shared_conflict in
+  let with_sharing =
+    Session.run_sources ~mode:Analysis.Mono [ ("<input>", shared_conflict) ]
+  in
   let without =
-    Session.run_source ~mode:Analysis.Mono ~field_sharing:false shared_conflict
+    Session.run_sources ~mode:Analysis.Mono ~field_sharing:false
+      [ ("<input>", shared_conflict) ]
   in
   Fmt.pr
     "    conflicting uses of one struct type: sharing detects %d error(s), \
@@ -505,8 +507,11 @@ let ablation () =
     without.Session.results.Report.type_errors;
   let b = List.nth Cbench.Suite.table1 2 in
   let src = Cbench.Suite.source_of b in
-  let on = Session.run_source ~mode:Analysis.Mono src in
-  let off = Session.run_source ~mode:Analysis.Mono ~field_sharing:false src in
+  let on = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
+  let off =
+    Session.run_sources ~mode:Analysis.Mono ~field_sharing:false
+      [ ("<input>", src) ]
+  in
   Fmt.pr
     "    %s possible consts: sharing=%d, no-sharing=%d (no-sharing is \
      unsound, not more precise)@."
@@ -1139,8 +1144,8 @@ let report_digest (r : Report.results) =
   Buffer.contents b
 
 (* the report plus the structural solver counters (wall-clock and heap
-   fields excluded): must be identical across job counts, frontends and
-   cache states *)
+   fields excluded): must be identical across job counts and cache
+   states *)
 let scale_digest (r : Report.results) (st : TS.stats) =
   let b = Buffer.create 4096 in
   Buffer.add_string b (report_digest r);
@@ -1167,9 +1172,8 @@ let scale () =
   in
   let gen_s = Unix.gettimeofday () -. t0 in
   let lines = Cbench.Gen.project_lines files in
-  let src = Session.concat_sources files in
   let t0 = Unix.gettimeofday () in
-  let prog = Session.compile src in
+  let prog = (Session.compile_sources files).Session.co_prog in
   let compile_s = Unix.gettimeofday () -. t0 in
   let nfun = List.length (Cfront.Cprog.functions prog) in
   let fdg = Fdg.build prog in
@@ -1293,7 +1297,7 @@ let hotpath () =
   in
   let lines = Cbench.Gen.project_lines files in
   let t0 = Unix.gettimeofday () in
-  let prog = Session.compile (Session.concat_sources files) in
+  let prog = (Session.compile_sources files).Session.co_prog in
   let t_compile_s = Unix.gettimeofday () -. t0 in
   let nfun = List.length (Cfront.Cprog.functions prog) in
   Fmt.pr "corpus %s: %d lines, %d functions@.@." b.Cbench.Suite.b_name lines
@@ -1588,16 +1592,16 @@ let cache_bench () =
   if not !ok then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Frontend: per-unit parse+link vs megastring concat — compile-phase  *)
-(* wall time and peak heap on the million-line corpus, byte-identical  *)
-(* reports at jobs 1/4 under both frontends, zero link reparses on the *)
-(* generated corpus, and the per-unit AST cache re-parsing exactly the *)
-(* dirty unit; writes BENCH_frontend.json.                             *)
+(* Frontend: per-unit parse+link — compile-phase wall time and peak    *)
+(* heap on the million-line corpus, serial and at jobs 4, byte-        *)
+(* identical reports at jobs 1/4, zero link reparses on the generated  *)
+(* corpus, and the per-unit AST cache re-parsing exactly the dirty     *)
+(* unit; writes BENCH_frontend.json.                                   *)
 (* TYPEQUAL_FRONTEND_LINES overrides the line target.                  *)
 (* ------------------------------------------------------------------ *)
 
 let frontend_bench () =
-  Fmt.pr "@.=== Frontend: per-unit parse+link vs megastring concat ===@.";
+  Fmt.pr "@.=== Frontend: per-unit parse+link ===@.";
   let b = List.hd Cbench.Suite.scale in
   let target =
     match Sys.getenv_opt "TYPEQUAL_FRONTEND_LINES" with
@@ -1618,15 +1622,9 @@ let frontend_bench () =
   in
 
   (* ---- compile phase: wall time and peak heap ---- *)
-  (* top_heap_words is a process-lifetime peak, so the lean path must be
-     measured FIRST: if the concat compile then pushes the peak higher,
-     the excess is attributable to the megastring pipeline *)
-  let co_pu = Session.compile_sources ~frontend:Session.Per_unit files in
+  let co_pu = Session.compile_sources files in
   let heap_pu = (Gc.quick_stat ()).Gc.top_heap_words in
-  let co_cc = Session.compile_sources ~frontend:Session.Concat files in
-  let heap_cc = (Gc.quick_stat ()).Gc.top_heap_words in
   let t_pu = co_pu.Session.co_t_compile in
-  let t_cc = co_cc.Session.co_t_compile in
   let fs =
     match co_pu.Session.co_frontend with
     | Some fs -> fs
@@ -1634,53 +1632,32 @@ let frontend_bench () =
   in
   Fmt.pr "%-10s %10s %14s@." "frontend" "compile(s)" "top_heap(Mw)";
   Fmt.pr "%-10s %10.3f %14.1f@." "per-unit" t_pu (float heap_pu /. 1e6);
-  Fmt.pr "%-10s %10.3f %14.1f@." "concat" t_cc (float heap_cc /. 1e6);
   Fmt.pr
     "per-unit phases: %d units, %d reparsed, lex %.3fs, parse %.3fs, build \
      %.3fs, link %.3fs@."
     fs.Session.fs_units fs.Session.fs_reparsed fs.Session.fs_lex_s
     fs.Session.fs_parse_s fs.Session.fs_build_s fs.Session.fs_link_s;
-  let co_pu4 = Session.compile_sources ~frontend:Session.Per_unit ~jobs:4 files in
+  let co_pu4 = Session.compile_sources ~jobs:4 files in
   let t_pu4 = co_pu4.Session.co_t_compile in
   Fmt.pr "per-unit at jobs 4: %.3fs (%.2fx vs serial per-unit)@.@." t_pu4
     (t_pu /. t_pu4);
-  check "both frontends produce the same program"
-    (List.length (Cfront.Cprog.functions co_pu.Session.co_prog)
-     = List.length (Cfront.Cprog.functions co_cc.Session.co_prog)
-    && List.length co_pu.Session.co_diags
-       = List.length co_cc.Session.co_diags)
-    "";
   check "no link reparses on the generated corpus"
     (fs.Session.fs_reparsed = 0)
     (Printf.sprintf " (%d)" fs.Session.fs_reparsed);
-  check "per-unit serial compile >= 1.3x faster than concat"
-    (t_cc /. t_pu >= 1.3)
-    (Printf.sprintf " measured %.2fx" (t_cc /. t_pu));
-  check "per-unit compile peak heap strictly below concat's"
-    (heap_pu < heap_cc)
-    (Printf.sprintf " (%.1f Mw vs %.1f Mw)" (float heap_pu /. 1e6)
-       (float heap_cc /. 1e6));
 
-  (* ---- parity: full runs, both frontends, serial and jobs 4 ---- *)
+  (* ---- parity: full runs, serial and jobs 4 ---- *)
   (* the scale digest plus rendered diagnostics: everything a user sees *)
   let fdigest (r : Session.run) =
     scale_digest r.Session.results r.Session.solver_stats
     ^ String.concat "\n"
         (List.map Cfront.Diag.to_string r.Session.diagnostics)
   in
-  let run frontend jobs =
-    fdigest (Session.run_sources ~frontend ~jobs ~mode:Analysis.Mono files)
+  let run jobs =
+    fdigest (Session.run_sources ~jobs ~mode:Analysis.Mono files)
   in
-  let d_pu1 = run Session.Per_unit 1 in
-  let d_cc1 = run Session.Concat 1 in
-  let d_pu4 = run Session.Per_unit 4 in
-  let d_cc4 = run Session.Concat 4 in
-  check "report+diags byte-identical: per-unit vs concat (serial)"
-    (d_pu1 = d_cc1) "";
-  check "report+diags byte-identical: per-unit vs concat (jobs 4)"
-    (d_pu4 = d_cc4) "";
-  check "report+diags byte-identical across jobs (per-unit)"
-    (d_pu1 = d_pu4) "";
+  let d_pu1 = run 1 in
+  let d_pu4 = run 4 in
+  check "report+diags byte-identical across jobs" (d_pu1 = d_pu4) "";
 
   (* ---- per-unit AST cache: editing one file re-parses only that file ---- *)
   let bs = List.hd Cbench.Suite.scale_smoke in
@@ -1761,13 +1738,8 @@ let frontend_bench () =
                ("build_s", jf fs.Session.fs_build_s);
                ("link_s", jf fs.Session.fs_link_s);
              ] );
-         ( "concat",
-           Jobj
-             [ ("t_compile_s", jf t_cc); ("top_heap_words", ji heap_cc) ] );
-         ("compile_speedup_serial", jf (t_cc /. t_pu));
          ("per_unit_jobs4_t_compile_s", jf t_pu4);
-         ( "reports_identical",
-           jb (d_pu1 = d_cc1 && d_pu4 = d_cc4 && d_pu1 = d_pu4) );
+         ("reports_identical", jb (d_pu1 = d_pu4));
          ( "dirty_unit",
            Jobj
              [

@@ -76,31 +76,29 @@ let budget_of_spec = function
            ?deadline_s:(Option.map (fun ms -> float_of_int ms /. 1000.) s.bs_ms)
            ~clock:Unix.gettimeofday ())
 
-(* What the analysis runs on: a single source keeps its text (and
-   diagnostic line numbers) untouched; a project of several translation
-   units is concatenated by the driver, which also tracks each unit's
-   span so the cache can key invalidation per file. *)
-type input =
-  | Single of string * string  (** unit name, source *)
-  | Project of (string * string) list
+(* --flow analyzes one program text: a project's translation units are
+   joined in command-line order, each behind a comment naming its file *)
+let flow_source = function
+  | [ (_, src) ] -> src
+  | files ->
+      String.concat ""
+        (List.map
+           (fun (name, src) ->
+             let nl =
+               if src <> "" && src.[String.length src - 1] <> '\n' then "\n"
+               else ""
+             in
+             Printf.sprintf "/* === %s === */\n%s%s" name src nl)
+           files)
 
-let source_of_input = function
-  | Single (_, src) -> src
-  | Project files -> Session.concat_sources files
-
-(* a thin Session client: the batch entry points feed the run to the
+(* a thin Session client: the batch entry point feeds the run to the
    session's renderer, which produces the whole stdout block *)
 let run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors ~compact
-    ~cache ~frontend ~print_diags mode name input =
+    ~cache ~print_diags mode name files =
   let budget = budget_of_spec budget in
   let r =
-    match input with
-    | Single (unit, src) ->
-        Session.run_source ~mode ~rules ?budget ~compact ~jobs ~max_errors
-          ?cache ~unit src
-    | Project files ->
-        Session.run_sources ~frontend ~mode ~rules ?budget ~compact ~jobs
-          ~max_errors ?cache files
+    Session.run_sources ~mode ~rules ?budget ~compact ~jobs ~max_errors ?cache
+      files
   in
   (* diagnostics are a property of the source, not the mode: print them
      once even when both modes run *)
@@ -163,8 +161,7 @@ let rules_of_lattice_file path qual_override =
         exit 2)
 
 let main files bench mode positions taint flow insensitive stats budget jobs
-    max_errors no_compact concat_frontend lattice qual dump_lattice cache_dir
-    gc =
+    max_errors no_compact lattice qual dump_lattice cache_dir gc =
   (match Typequal.Gctune.setup ?flag:gc () with
   | Ok _ -> ()
   | Error m ->
@@ -184,30 +181,27 @@ let main files bench mode positions taint flow insensitive stats budget jobs
     Fmt.pr "%a" Typequal.Lattice.Space.pp_dump rules.Analysis.qr_space;
     exit 0
   end;
+  (* the translation units, analyzed as one whole program in
+     command-line order; a single file is a project of one unit *)
   let name, input =
     match (files, bench) with
-    | [ f ], _ -> (f, Single (f, read_file f))
-    | _ :: _ :: _, _ ->
-        (* multiple translation units: whole-program analysis by
-           concatenation, in command-line order *)
-        ( String.concat "+" files,
-          Project (List.map (fun f -> (f, read_file f)) files) )
+    | _ :: _, _ ->
+        (String.concat "+" files, List.map (fun f -> (f, read_file f)) files)
     | [], Some b -> (
         match List.assoc_opt b Cbench.Programs.all with
-        | Some src -> (b, Single (b, src))
-        | None when b = "miniproject" ->
-            (b, Project Cbench.Programs.miniproject)
+        | Some src -> (b, [ (b, src) ])
+        | None when b = "miniproject" -> (b, Cbench.Programs.miniproject)
         | None -> (
             let find l =
               List.find_opt (fun (x : Cbench.Suite.bench) -> x.b_name = b) l
             in
             match find Cbench.Suite.table1 with
-            | Some bb -> (b, Single (b, Cbench.Suite.source_of bb))
+            | Some bb -> (b, [ (b, Cbench.Suite.source_of bb) ])
             | None -> (
                 match
                   find (Cbench.Suite.scale @ Cbench.Suite.scale_smoke)
                 with
-                | Some bb -> (b, Project (Cbench.Suite.project_of bb))
+                | Some bb -> (b, Cbench.Suite.project_of bb)
                 | None ->
                     Fmt.epr
                       "unknown benchmark %s; embedded: %a, miniproject; \
@@ -225,7 +219,7 @@ let main files bench mode positions taint flow insensitive stats budget jobs
         Fmt.epr "need a FILE or --bench NAME@.";
         exit 2
   in
-  if flow then run_flow name (source_of_input input) insensitive
+  if flow then run_flow name (flow_source input) insensitive
   else
     (* the rule-set identity the driver's fingerprints cannot derive:
        which analysis flavour and (for --lattice) which config built it.
@@ -252,8 +246,6 @@ let main files bench mode positions taint flow insensitive stats budget jobs
     let run_one =
       run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors
         ~compact:(not no_compact) ~cache
-        ~frontend:
-          (if concat_frontend then Session.Concat else Session.Per_unit)
     in
     match
       let runs =
@@ -296,8 +288,8 @@ let files =
     & info [] ~docv:"FILE"
         ~doc:
           "C source file(s); several files are analyzed together as one \
-           program (whole-program analysis over the concatenated \
-           translation units)")
+           whole program: each translation unit is parsed on its own, then \
+           the units are linked in command-line order")
 
 let bench =
   Arg.(
@@ -388,10 +380,20 @@ let jobs =
            $(docv) = 1. Defaults to \\$TYPEQUAL_JOBS or 1.")
 
 let max_errors =
+  let at_least_one =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg (Printf.sprintf "%S: want an integer >= 1" s))),
+        Fmt.int )
+  in
   Arg.(
-    value & opt int 20
+    value & opt at_least_one 20
     & info [ "max-errors" ] ~docv:"N"
-        ~doc:"Stop collecting lexer/parser diagnostics after $(docv)")
+        ~doc:
+          "Stop collecting lexer/parser diagnostics after $(docv) (at \
+           least 1)")
 
 let no_compact =
   Arg.(
@@ -401,17 +403,6 @@ let no_compact =
           "Disable scheme compaction and instantiation memoization \
            (the ablation baseline). Reports are identical either way; \
            only constraint-system size and speed differ.")
-
-let concat_frontend =
-  Arg.(
-    value & flag
-    & info [ "concat-frontend" ]
-        ~doc:
-          "Parse multi-file projects by concatenating the translation units \
-           into one program (the pre-per-unit pipeline, kept as a parity \
-           oracle). Reports, diagnostics and counters are byte-identical to \
-           the default per-unit frontend; only speed, memory, and AST-cache \
-           granularity differ.")
 
 let lattice =
   Arg.(
@@ -478,8 +469,8 @@ let cmd =
     (Cmd.info "cqualc" ~doc)
     Term.(
       const main $ files $ bench $ mode $ positions $ taint $ flow $ insensitive
-      $ stats $ budget $ jobs $ max_errors $ no_compact $ concat_frontend
-      $ lattice $ qual $ dump_lattice $ cache_dir $ gc)
+      $ stats $ budget $ jobs $ max_errors $ no_compact $ lattice $ qual
+      $ dump_lattice $ cache_dir $ gc)
 
 (* Last line of defense: whatever leaks out of the pipeline becomes a
    one-line message and exit 2 — users should never see a backtrace.

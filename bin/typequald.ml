@@ -599,10 +599,20 @@ let jobs =
            the analysis itself is serial. Defaults to \\$TYPEQUAL_JOBS or 1.")
 
 let max_errors =
+  let at_least_one =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (`Msg (Printf.sprintf "%S: want an integer >= 1" s))),
+        Fmt.int )
+  in
   Arg.(
-    value & opt int 20
+    value & opt at_least_one 20
     & info [ "max-errors" ] ~docv:"N"
-        ~doc:"Stop collecting lexer/parser diagnostics after $(docv)")
+        ~doc:
+          "Stop collecting lexer/parser diagnostics after $(docv) (at \
+           least 1)")
 
 let no_compact =
   Arg.(

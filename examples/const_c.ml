@@ -12,7 +12,7 @@ open Cqual
 let banner title = Fmt.pr "@.== %s ==@." title
 
 let show_run name mode src =
-  let r = Session.run_source ~mode src in
+  let r = Session.run_sources ~mode [ ("<input>", src) ] in
   let res = r.Session.results in
   Fmt.pr "@.[%s — %s]@." name
     (match mode with
@@ -32,7 +32,7 @@ let () =
      int *id1(int *x) { return x; }\n\
      ci *id2(ci *x) { return x; }\n"
   in
-  let r = Session.run_source ~mode:Analysis.Mono id2 in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", id2) ] in
   Fmt.pr
     "C needs both id1 and id2 (%d const positions, %d declared).@."
     r.Session.results.Report.total r.Session.results.Report.declared;
@@ -57,7 +57,7 @@ let () =
 
   banner "3. Incorrect const usage is a type error";
   let bad = "void f(const char *s) { char *p; p = s; *p = 'x'; }" in
-  let r = Session.run_source ~mode:Analysis.Mono bad in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", bad) ] in
   Fmt.pr "program:@.%s@." bad;
   Fmt.pr "type errors: %d (writing through an alias of a const pointer)@."
     r.Session.results.Report.type_errors;

@@ -3,7 +3,7 @@
     Every lexer/parser/frontend failure is represented as a diagnostic
     carrying a severity, a stable code (grep-able and documented in
     DESIGN.md "Resilience"), a source span, and a message. The resilient
-    pipeline ({!Cparse.parse_program_partial}, {!Cqual.Session.run_source})
+    pipeline ({!Cparse.parse_program_partial}, {!Cqual.Session.run_sources})
     accumulates diagnostics instead of aborting on the first error.
 
     Code ranges:
@@ -57,11 +57,10 @@ let notice ~code message = make Notice ~code dummy_span message
 let is_error d = d.d_severity = Error
 let is_notice d = d.d_severity = Notice
 
-(** Rebind a diagnostic to a unit-local position: multi-unit runs report
-    [unit:line:col], so a parse error on line 1 of the third file says so
-    instead of quoting an offset into a concatenated program. *)
-let with_unit ?span unit d =
-  { d with d_unit = Some unit; d_span = Option.value span ~default:d.d_span }
+(** Name the unit a diagnostic's unit-local span belongs to: multi-unit
+    runs report [unit:line:col], so a parse error on line 1 of the third
+    file says so. *)
+let with_unit unit d = { d with d_unit = Some unit }
 
 let pp_severity ppf = function
   | Error -> Fmt.string ppf "error"

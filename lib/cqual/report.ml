@@ -96,9 +96,8 @@ let positions_of_rt ?(qual = "const") ?(loc = ("", 0, 0)) ~fname ~where prog
   go 1 (Cprog.decay (Cprog.expand prog decl_ty)) r []
 
 (* [locate fname line] resolves an AST line to its (unit, local line)
-   pair: per-unit sessions map through the member's home unit, concat
-   mode through the span table. The default leaves lines untouched with
-   an anonymous unit, preserving historical output for batch callers. *)
+   pair; the per-unit frontend maps a function through its home unit.
+   The default leaves lines untouched with an anonymous unit. *)
 let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     (f : Cast.fundef) (iface : fsig) : (position * Solver.var) list =
   let anchor (line, col) =

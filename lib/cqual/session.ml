@@ -1,36 +1,29 @@
 (** The analysis session: every stage of the const-inference pipeline —
     unit table, linked program, FDG, published schemes, solved store,
     report — as a persistent value with precise invalidation, plus the
-    batch entry points that drive one-shot runs over the same machinery.
+    one batch entry point ({!run_sources}) that drives one-shot runs over
+    the same machinery.
 
     The staged pipeline Table 2 and Figure 6 are produced from lives
-    here, along with the batch entry points the CLIs call.
-    A {!t} keeps one warm artifact between edits: the per-unit AST memo
-    (keyed by unit content digest), so after {!update_unit} only the
+    here. A {!t} keeps one warm artifact between edits: the per-unit AST
+    memo (keyed by unit content digest), so after {!update_unit} only the
     edited unit is lexed and parsed again; the link and the analysis
     then run exactly as a batch [cqualc] run does. Queries ({!classify},
     {!explain}, {!whatif}) are answered against the warm solved store
     through stable [unit:line:col] position keys (see
     {!Report.position_key}).
 
-    Multi-file projects run through the {e per-unit frontend} by
-    default: each translation unit is lexed and parsed independently (in
-    parallel under [--jobs]), then a deterministic serial link step
-    merges the unit programs and threads the cross-unit parser
-    environment. The pre-PR-9 "concatenate, then parse once" pipeline is
-    kept behind {!Concat} as the parity oracle — both frontends produce
-    byte-identical reports, diagnostics, and solver counters. See
-    DESIGN.md "Per-unit frontend" and "Session architecture". *)
+    Every C input goes through the {e per-unit frontend}, a single file
+    being a project of one unit: each translation unit is lexed and
+    parsed independently (in parallel under [--jobs]), then a
+    deterministic serial link step merges the unit programs and threads
+    the cross-unit parser environment. See DESIGN.md "Per-unit frontend"
+    and "Session architecture". *)
 
 type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
   t_analysis : float;  (** constraint generation + solving *)
 }
-
-(** Which frontend assembles the whole program from translation units. *)
-type frontend =
-  | Per_unit  (** per-unit parse + link (default) *)
-  | Concat  (** legacy megastring concatenation: the parity oracle *)
 
 (** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
     times are summed across worker domains (like the solver's per-phase
@@ -69,8 +62,8 @@ type run = {
       (** always [None]; remains only for the perfbench tool, which
           reads it *)
   frontend : frontend_stats option;
-      (** per-unit frontend phase breakdown; [None] for the concat
-          oracle, single-source runs, and whole-run cache hits *)
+      (** per-unit frontend phase breakdown; [None] only for whole-run
+          cache hits *)
 }
 
 let time f =
@@ -144,10 +137,6 @@ let open_cache ?warn ?(rules = Analysis.const_rules) ~opts_id dir :
    units (and run) that file contributes to. *)
 let unit_digest name content = Digest.string (name ^ "\000" ^ content)
 
-(* a unit's span in the concatenated program: first line, last line, unit
-   name, content digest *)
-type span = int * int * string * string
-
 let mode_name = function
   | Analysis.Mono -> "mono"
   | Analysis.Poly -> "poly"
@@ -155,8 +144,7 @@ let mode_name = function
 
 (* Everything that parameterizes inference besides the program text and
    the qualifier space (already in the envelope context). [jobs] is
-   deliberately absent: results are jobs-invariant. So is the frontend:
-   per-unit and concat runs are byte-identical, hence cache-compatible. *)
+   deliberately absent: results are jobs-invariant. *)
 let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
     ~max_errors : string =
   let ob = function Some b -> string_of_bool b | None -> "-" in
@@ -220,18 +208,12 @@ let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
     (Float.max 0. (t2 -. solve_d));
   (env, ifaces, results, index, t +. t2)
 
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget mode prog =
-  let env, _, results, _, t =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget mode
-      prog
-  in
-  (env, results, t)
-
 (* ------------------------------------------------------------------ *)
-(* Shared back half of both frontends                                  *)
+(* Analysis back half: analyze, measure, attach FDG statistics        *)
 (* ------------------------------------------------------------------ *)
 
-(* the frontend's product, whichever frontend built it *)
+(* the frontend's product: the linked program plus what the report
+   needs from the parse *)
 type compiled = {
   co_prog : Cfront.Cprog.t;
   co_diags : Cfront.Diag.t list;
@@ -241,7 +223,7 @@ type compiled = {
   co_frontend : frontend_stats option;
 }
 
-let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
+let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
     (co : compiled) =
   let env, ifaces, results, index, t_analysis =
     analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
@@ -281,14 +263,6 @@ let finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
     }
   in
   (run, env, ifaces, index)
-
-let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
-    (co : compiled) : run =
-  let run, _, _, _ =
-    finish_full ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
-      co
-  in
-  run
 
 let run_of_cached (cr : cached_run) ~t_lookup : run =
   {
@@ -336,172 +310,9 @@ let cached_of_run (r : run) : cached_run =
     cr_wavefront = r.wavefront_width;
   }
 
-(* the whole-run cache key over the units' content digests: shared by
-   both frontends, whose runs are byte-identical *)
+(* the whole-run cache key over the units' content digests *)
 let run_key ~optfp (digests : string list) =
   Digest.string (optfp ^ String.concat "" digests)
-
-(* ------------------------------------------------------------------ *)
-(* Concat frontend (the parity oracle)                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Rebind a concatenated-program diagnostic to its unit: the unit whose
-   line range contains the span start, with lines shifted to be
-   unit-local. Diagnostics that land in no unit (impossible in practice:
-   separator lines hold only a comment) pass through untouched. *)
-let remap_concat_diag (spans : span list) (d : Cfront.Diag.t) :
-    Cfront.Diag.t =
-  let l = d.Cfront.Diag.d_span.Cfront.Diag.sl in
-  match
-    List.find_opt (fun (s, e, _, _) -> l >= s && l <= e) spans
-  with
-  | Some (s, _, name, _) ->
-      let sp = d.Cfront.Diag.d_span in
-      Cfront.Diag.with_unit
-        ~span:
-          {
-            sp with
-            Cfront.Diag.sl = sp.Cfront.Diag.sl - s + 1;
-            el = sp.Cfront.Diag.el - s + 1;
-          }
-        name d
-  | None -> d
-
-(* Normalize the concat parse's diagnostic order to the per-unit order:
-   unit-major, lexical diagnostics before parse diagnostics within a
-   unit. (The megastring parse reports every unit's lexical errors
-   before any unit's parse errors; the per-unit frontend finishes each
-   unit before starting the next.) The sort is stable, so within one
-   (unit, phase) bucket the source order is preserved. *)
-let normalize_concat_diags (spans : span list) (diags : Cfront.Diag.t list) :
-    Cfront.Diag.t list =
-  let unit_index =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun i (_, _, name, _) -> Hashtbl.replace tbl name i) spans;
-    fun d ->
-      match d.Cfront.Diag.d_unit with
-      | Some u -> ( match Hashtbl.find_opt tbl u with Some i -> i | None -> 0)
-      | None -> 0
-  in
-  let phase d =
-    (* E01xx lexical, anything else (E02xx parse, E0299 note) after *)
-    if String.length d.Cfront.Diag.d_code >= 3
-       && String.sub d.Cfront.Diag.d_code 0 3 = "E01"
-    then 0
-    else 1
-  in
-  List.stable_sort
-    (fun a b -> compare (unit_index a, phase a) (unit_index b, phase b))
-    diags
-
-(* multi-unit parity with the per-unit frontend: report unit-local
-   positions and per-unit diagnostic order *)
-let localize_concat ~(spans : span list) (pr : Cfront.Cparse.presult) =
-  match spans with
-  | [] | [ _ ] -> pr
-  | _ ->
-      {
-        pr with
-        Cfront.Cparse.pr_diags =
-          normalize_concat_diags spans
-            (List.map (remap_concat_diag spans) pr.Cfront.Cparse.pr_diags);
-      }
-
-(* resolve a concatenated-program line to its (unit, local line) pair —
-   the concat frontend's position anchor, mirrored by the per-unit
-   frontend's unit table so both produce identical position keys *)
-let locate_of_spans (spans : span list) _fname line =
-  match List.find_opt (fun (s, e, _, _) -> line >= s && line <= e) spans with
-  | Some (s, _, name, _) -> (name, line - s + 1)
-  | None -> ("", line)
-
-(* One mode over an already-concatenated program [src] whose units are
-   described by [spans]. The cold path is the pre-cache pipeline verbatim;
-   the cached path layers two tiers over it — whole-run and parsed AST —
-   each of which degrades to the tier below on any miss or rejection, so
-   every fault converges to the cold result. [jobs] is accepted for
-   symmetry with {!run_units}: one program is parsed serially. *)
-let run_concat ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
-    ?compact ?budget ?jobs:(_ : int option) ?max_errors ?cache ?lines
-    ~(spans : span list) (src : string) : run =
-  let lines = match lines with Some n -> n | None -> Cfront.Cprog.count_lines src in
-  let localize = localize_concat ~spans in
-  let locate = locate_of_spans spans in
-  let finish co =
-    finish ?rules ?field_sharing ?simplify ?compact ?budget ~locate mode co
-  in
-  let compiled pr prog t_compile =
-    {
-      co_prog = prog;
-      co_diags = pr.Cfront.Cparse.pr_diags;
-      co_degraded = pr.Cfront.Cparse.pr_degraded;
-      co_lines = lines;
-      co_t_compile = t_compile;
-      co_frontend = None;
-    }
-  in
-  let cold_run () =
-    let (pr, prog), t_compile =
-      time (fun () ->
-          let pr =
-            localize (Cfront.Cparse.parse_program_partial ?max_errors src)
-          in
-          (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-    in
-    finish (compiled pr prog t_compile)
-  in
-  (* budgeted runs are load-dependent, not reproducible artifacts: never
-     cached, never served from cache *)
-  let cache = match budget with Some _ -> None | None -> cache in
-  match cache with
-  | None -> cold_run ()
-  | Some cs -> (
-      let t0 = Unix.gettimeofday () in
-      let optfp =
-        opt_fingerprint ~opts_id:cs.cs_opts_id ~mode ~field_sharing ~simplify
-          ~compact ~max_errors
-      in
-      let run_key = run_key ~optfp (List.map (fun (_, _, _, d) -> d) spans) in
-      match
-        (load_marshal cs.cs_cache ~kind:"run" ~key:run_key ~deps:[]
-          : cached_run option)
-      with
-      | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
-      | None ->
-          let ast_key =
-            Digest.string
-              (Printf.sprintf "ast\000%s\000%s"
-                 (match max_errors with
-                 | Some n -> string_of_int n
-                 | None -> "-")
-                 src)
-          in
-          let (pr, prog), t_compile =
-            time (fun () ->
-                let pr =
-                  match
-                    (load_marshal cs.cs_cache ~kind:"ast" ~key:ast_key
-                       ~deps:[]
-                      : Cfront.Cparse.presult option)
-                  with
-                  | Some pr -> pr
-                  | None ->
-                      let pr =
-                        localize
-                          (Cfront.Cparse.parse_program_partial ?max_errors
-                             src)
-                      in
-                      Cache.store cs.cs_cache ~kind:"ast" ~key:ast_key
-                        ~deps:[]
-                        (Marshal.to_string pr []);
-                      pr
-                in
-                (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-          in
-          let run = finish (compiled pr prog t_compile) in
-          Cache.store cs.cs_cache ~kind:"run" ~key:run_key ~deps:[]
-            (Marshal.to_string (cached_of_run run) []);
-          run)
 
 (* ------------------------------------------------------------------ *)
 (* Per-unit frontend                                                   *)
@@ -591,7 +402,8 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
         cell := !cell +. dt;
         Mutex.unlock tmu
       in
-      Typequal.Pool.with_pool ~jobs (fun pool ->
+      (* never more domains than units: a single file parses inline *)
+      Typequal.Pool.with_pool ~jobs:(max 1 (min jobs n)) (fun pool ->
           Array.iteri
             (fun i (name, src) ->
               Typequal.Pool.submit pool (fun () ->
@@ -792,13 +604,32 @@ let locate_of_tbl (tbl : (string, string) Hashtbl.t) fname line =
   | Some u -> (u, line)
   | None -> ("", line)
 
-(** One mode over the per-unit pipeline, with the whole-run and per-unit
-    AST cache tiers layered over {!compile_units}. *)
-let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
+(* ------------------------------------------------------------------ *)
+(* Batch entry points                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* the diagnostic budget (default 20); a budget below 1 would give up
+   before the first token and analyze nothing *)
+let error_budget = function
+  | None -> 20
+  | Some n when n >= 1 -> n
+  | Some n ->
+      raise (Error (Printf.sprintf "max_errors must be at least 1 (got %d)" n))
+
+(** One mode over [(name, source)] translation units — a single file is a
+    project of one unit — with the whole-run and per-unit AST cache tiers
+    layered over {!compile_units}. Recovers from lexer/parser errors:
+    globals that fail to parse are dropped (with a diagnostic), function
+    bodies that fail are demoted to prototypes and reported as degraded
+    outcomes. Raises {!Error} for a [max_errors] below 1, and otherwise
+    only for faults that leave nothing to analyze (e.g.
+    [Cfront.Cprog.Frontend_error] from table construction). *)
+let run_sources ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
     ?compact ?budget ?(jobs = 1) ?max_errors ?cache
     (files : (string * string) list) : run =
-  let me = Option.value max_errors ~default:20 in
-  (* budgeted runs are never cached (see run_concat) *)
+  let me = error_budget max_errors in
+  (* budgeted runs are load-dependent, not reproducible artifacts: never
+     cached, never served from cache *)
   let cache = match budget with Some _ -> None | None -> cache in
   let t0 = Unix.gettimeofday () in
   let digests = List.map (fun (n, s) -> unit_digest n s) files in
@@ -821,7 +652,7 @@ let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
   | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
   | None ->
       let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
-      let run =
+      let run, _, _, _ =
         finish ?rules ?field_sharing ?simplify ?compact ?budget
           ~locate:(locate_of_tbl unit_of_tbl) mode co
       in
@@ -832,105 +663,11 @@ let run_units ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
             (Marshal.to_string (cached_of_run run) []));
       run
 
-(* ------------------------------------------------------------------ *)
-(* Batch entry points                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Run one mode on C source, recovering from lexer/parser errors: globals
-    that fail to parse are dropped (with a diagnostic), function bodies
-    that fail are demoted to prototypes and reported as degraded outcomes.
-    Raises only for faults that leave nothing to analyze (e.g.
-    [Cfront.Cprog.Frontend_error] from table construction). *)
-let run_source ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?max_errors ?cache ?(unit = "<input>") (src : string) : run =
-  run_concat ?mode ?rules ?field_sharing ?simplify ?compact ?budget ?jobs
-    ?max_errors ?cache
-    ~spans:[ (1, max_int, unit, unit_digest unit src) ]
-    src
-
-(** Multi-file projects, concatenated (the parity oracle): the
-    translation units are analyzed as one program, as a 1990s
-    whole-program analysis would see them after preprocessing. File
-    boundaries are kept as comments for span accounting — and, when
-    caching, as the unit spans that key per-file invalidation. *)
-let concat_sources_spans (files : (string * string) list) :
-    string * span list =
-  let b = Buffer.create 65536 in
-  let line = ref 1 in
-  let spans = ref [] in
-  List.iter
-    (fun (name, src) ->
-      Buffer.add_string b (Printf.sprintf "/* === %s === */\n" name);
-      incr line;
-      let start = !line in
-      Buffer.add_string b src;
-      let nl =
-        String.fold_left (fun a c -> if c = '\n' then a + 1 else a) 0 src
-      in
-      let add_nl =
-        String.length src > 0 && src.[String.length src - 1] <> '\n'
-      in
-      if add_nl then Buffer.add_char b '\n';
-      line := !line + nl + (if add_nl then 1 else 0);
-      spans := (start, !line - 1, name, unit_digest name src) :: !spans)
-    files;
-  (Buffer.contents b, List.rev !spans)
-
-let concat_sources files = fst (concat_sources_spans files)
-
-(** Multi-file projects: each translation unit is lexed and parsed
-    independently (per-unit frontend, the default), or the units are
-    concatenated and parsed as one megastring ({!Concat}, the legacy
-    oracle). Reports, diagnostics, and solver counters are byte-identical
-    either way; only speed, memory, and cache granularity differ. *)
-let run_sources ?(frontend = Per_unit) ?mode ?rules ?field_sharing ?simplify
-    ?compact ?budget ?jobs ?max_errors ?cache
-    (files : (string * string) list) : run =
-  match frontend with
-  | Per_unit ->
-      run_units ?mode ?rules ?field_sharing ?simplify ?compact ?budget
-        ?jobs ?max_errors ?cache files
-  | Concat ->
-      let src, spans = concat_sources_spans files in
-      let lines =
-        List.fold_left
-          (fun acc (_, s) -> acc + Cfront.Cprog.count_lines s)
-          0 files
-      in
-      run_concat ?mode ?rules ?field_sharing ?simplify ?compact ?budget
-        ?jobs ?max_errors ?cache ~lines ~spans src
-
-(** The frontend alone — parse and link a multi-file project without
-    analyzing it. What the bench harness times and heap-profiles when it
-    compares the two frontends' compile phases. *)
-let compile_sources ?(frontend = Per_unit) ?(jobs = 1) ?max_errors
-    (files : (string * string) list) : compiled =
-  let me = Option.value max_errors ~default:20 in
-  match frontend with
-  | Per_unit -> fst (compile_units ~jobs ~me files)
-  | Concat ->
-      let src, spans = concat_sources_spans files in
-      let lines =
-        List.fold_left
-          (fun acc (_, s) -> acc + Cfront.Cprog.count_lines s)
-          0 files
-      in
-      let (pr, prog), t_compile =
-        time (fun () ->
-            let pr =
-              localize_concat ~spans
-                (Cfront.Cparse.parse_program_partial ~max_errors:me src)
-            in
-            (pr, Cfront.Cprog.build pr.Cfront.Cparse.pr_prog))
-      in
-      {
-        co_prog = prog;
-        co_diags = pr.Cfront.Cparse.pr_diags;
-        co_degraded = pr.Cfront.Cparse.pr_degraded;
-        co_lines = lines;
-        co_t_compile = t_compile;
-        co_frontend = None;
-      }
+(** The frontend alone — parse and link without analyzing. What the
+    bench harness times and heap-profiles. *)
+let compile_sources ?(jobs = 1) ?max_errors (files : (string * string) list)
+    : compiled =
+  fst (compile_units ~jobs ~me:(error_budget max_errors) files)
 
 (** Run both modes, reusing the parse: one row of Table 2. *)
 type row = {
@@ -949,8 +686,12 @@ type row = {
 
 let table2_row ~name (src : string) : row =
   let prog, t_compile = time (fun () -> compile src) in
-  let _, mono_results, mono_s = analyze Analysis.Mono prog in
-  let _, poly_results, poly_s = analyze Analysis.Poly prog in
+  let analyze mode =
+    let _, _, results, _, t = analyze_indexed mode prog in
+    (results, t)
+  in
+  let mono_results, mono_s = analyze Analysis.Mono in
+  let poly_results, poly_s = analyze Analysis.Poly in
   {
     name;
     r_lines = Cfront.Cprog.count_lines src;
@@ -988,7 +729,7 @@ type t = {
   s_field_sharing : bool option;
   s_simplify : bool option;
   s_compact : bool option;
-  s_max_errors : int option;
+  s_max_errors : int;  (* the validated diagnostic budget *)
   s_jobs : int;
   s_cache : cache_spec option;
   (* the warm tier that survives invalidation: keyed by unit content
@@ -1009,7 +750,7 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
     s_field_sharing = field_sharing;
     s_simplify = simplify;
     s_compact = compact;
-    s_max_errors = max_errors;
+    s_max_errors = error_budget max_errors;
     s_jobs = jobs;
     s_cache = cache;
     s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
@@ -1063,10 +804,9 @@ let ensure_compiled t =
   | Some c -> c
   | None ->
       if t.s_units = [] then raise (Error "session has no units");
-      let me = Option.value t.s_max_errors ~default:20 in
       let c =
         compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~jobs:t.s_jobs
-          ~me t.s_units
+          ~me:t.s_max_errors t.s_units
       in
       t.s_compiled <- Some c;
       c
@@ -1078,7 +818,7 @@ let ensure_mode t mode : mode_state =
   | None ->
       let co, tbl = ensure_compiled t in
       let run, env, ifaces, index =
-        finish_full ~rules:t.s_rules ?field_sharing:t.s_field_sharing
+        finish ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact
           ~locate:(locate_of_tbl tbl) mode co
       in

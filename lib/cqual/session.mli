@@ -1,9 +1,11 @@
 (** The analysis session: the const-inference pipeline as named stages —
     unit table → linked program → FDG → published schemes → solved store
-    → report — behind both one-shot batch entry points and a persistent {!t} that keeps warm artifacts between
-    runs and answers position-level queries without re-parsing or
-    re-solving clean units. See DESIGN.md "Session architecture & wire
-    protocol". *)
+    → report — behind one batch entry point ({!run_sources}) and a
+    persistent {!t} that keeps warm artifacts between runs and answers
+    position-level queries without re-parsing or re-solving clean units.
+    Every C input, a single file included, goes through the per-unit
+    frontend. See DESIGN.md "Per-unit frontend" and "Session architecture
+    & wire protocol". *)
 
 (** {1 Batch pipeline} *)
 
@@ -11,11 +13,6 @@ type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
   t_analysis : float;  (** constraint generation + solving *)
 }
-
-(** Which frontend assembles the whole program from translation units. *)
-type frontend =
-  | Per_unit  (** per-unit parse + link (default) *)
-  | Concat  (** legacy megastring concatenation: the parity oracle *)
 
 (** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
     times are summed across worker domains, so they can exceed the
@@ -47,8 +44,7 @@ type run = {
       (** always [None]; remains only for the perfbench tool, which
           reads it *)
   frontend : frontend_stats option;
-      (** [None] for the concat oracle, single-source runs, and
-          whole-run cache hits *)
+      (** [None] only for whole-run cache hits *)
 }
 
 exception Error of string
@@ -92,24 +88,9 @@ val unit_digest : string -> string -> Digest.t
 (** [unit_digest name content]: the per-file content hash that keys
     invalidation. *)
 
-type span = int * int * string * string
-(** a unit's span in a concatenated program: first line, last line,
-    unit name, content digest *)
-
 val mode_name : Analysis.mode -> string
 
 (** {2 One-shot entry points} *)
-
-val analyze :
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  Analysis.mode ->
-  Cfront.Cprog.t ->
-  Analysis.env * Report.results * float
-(** Analysis plus measurement over an already-compiled program. *)
 
 type compiled = {
   co_prog : Cfront.Cprog.t;
@@ -119,75 +100,10 @@ type compiled = {
   co_t_compile : float;
   co_frontend : frontend_stats option;
 }
-(** the frontend's product, whichever frontend built it *)
-
-val finish :
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?locate:(string -> int -> string * int) ->
-  Analysis.mode ->
-  compiled ->
-  run
-(** The shared back half of both frontends: analyze, measure, and attach
-    FDG statistics. [locate] resolves a function's AST line to its
-    (unit, local line) anchor for stable position keys. *)
-
-val run_concat :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  ?lines:int ->
-  spans:span list ->
-  string ->
-  run
-(** One mode over an already-concatenated program. [jobs] is accepted
-    for symmetry with {!run_units} and ignored: one program is parsed
-    serially. *)
-
-val run_units :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  (string * string) list ->
-  run
-(** One mode over the per-unit pipeline. *)
-
-val run_source :
-  ?mode:Analysis.mode ->
-  ?rules:Analysis.qrules ->
-  ?field_sharing:bool ->
-  ?simplify:bool ->
-  ?compact:bool ->
-  ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  ?cache:cache_spec ->
-  ?unit:string ->
-  string ->
-  run
-(** Run one mode on a single C source, recovering from lexer/parser
-    errors. *)
-
-val concat_sources_spans : (string * string) list -> string * span list
-val concat_sources : (string * string) list -> string
+(** the frontend's product: the linked program plus what the report
+    needs from the parse *)
 
 val run_sources :
-  ?frontend:frontend ->
   ?mode:Analysis.mode ->
   ?rules:Analysis.qrules ->
   ?field_sharing:bool ->
@@ -199,16 +115,16 @@ val run_sources :
   ?cache:cache_spec ->
   (string * string) list ->
   run
-(** Multi-file projects under either frontend; reports, diagnostics and
-    solver counters are byte-identical either way. *)
+(** One mode over [(name, source)] translation units, analyzed as one
+    whole program; a single file is a project of one unit. Recovers from
+    lexer/parser errors (see DESIGN.md "Resilience"). [max_errors]
+    (default 20) caps the diagnostics collected; below 1 raises
+    {!Error}. *)
 
 val compile_sources :
-  ?frontend:frontend ->
-  ?jobs:int ->
-  ?max_errors:int ->
-  (string * string) list ->
-  compiled
-(** The frontend alone — parse and link without analyzing. *)
+  ?jobs:int -> ?max_errors:int -> (string * string) list -> compiled
+(** The frontend alone — parse and link without analyzing. Raises
+    {!Error} for a [max_errors] below 1. *)
 
 (** Run both modes, reusing the parse: one row of Table 2. *)
 type row = {
@@ -252,7 +168,8 @@ val create :
 (** [create units] builds a session over [(name, source)] pairs.
     [mode] is the default query/analysis mode (default [Poly]);
     [cache] additionally attaches the persistent disk tiers. Nothing is
-    parsed or analyzed until the first {!run} or query. *)
+    parsed or analyzed until the first {!run} or query. Raises {!Error}
+    for a [max_errors] below 1. *)
 
 val units : t -> string list
 (** Current unit names, in link order. *)

@@ -266,7 +266,10 @@ let test_open_on_file_path () =
   (match Session.open_cache ~warn:(fun _ -> ()) ~opts_id:"t" file with
   | Some _ -> Alcotest.fail "Session.open_cache accepted a file"
   | None -> ());
-  let r = Session.run_source ~mode:Analysis.Poly "int f(int *p) { return *p; }" in
+  let r =
+    Session.run_sources ~mode:Analysis.Poly
+      [ ("<input>", "int f(int *p) { return *p; }") ]
+  in
   Alcotest.(check int) "analysis unaffected" 1 r.Session.n_functions
 
 (* ---------------- Session tiers: cold == warm == post-corruption ------- *)

@@ -5,7 +5,7 @@
 open Cqual
 
 let run ?(mode = Analysis.Mono) ?rules src =
-  try Session.run_source ~mode ?rules src
+  try Session.run_sources ~mode ?rules [ ("<input>", src) ]
   with Session.Error m -> Alcotest.failf "driver error: %s\nin:\n%s" m src
 
 let results ?mode src = (run ?mode src).Session.results
@@ -538,7 +538,9 @@ let taint ?(mode = Analysis.Mono) src =
 
 let run_taint ?(mode = Analysis.Mono) src =
   try
-    (Session.run_source ~mode ~rules:Analysis.taint_rules src).Session.results
+    (Session.run_sources ~mode ~rules:Analysis.taint_rules
+       [ ("<input>", src) ])
+      .Session.results
   with Session.Error m -> Alcotest.failf "driver error: %s" m
 
 let test_taint_source_to_sink () =

@@ -1,12 +1,13 @@
-(* The per-unit frontend: parity with the concat oracle (reports,
-   diagnostics, counters), unit-boundary diagnostic positions, cross-unit
-   parser-environment threading (typedef / enum-constant / anonymous-tag
-   reparses), the diagnostic budget crossing unit boundaries, the
-   per-unit AST cache tier, and the outcome-list construction on
-   many-degraded programs. *)
+(* The per-unit frontend: parity with a test-only model of the
+   whole-program (concatenate, then parse once) frontend, unit-boundary
+   diagnostic positions, cross-unit parser-environment threading
+   (typedef / enum-constant / anonymous-tag reparses), the diagnostic
+   budget crossing unit boundaries, the per-unit AST cache tier, and the
+   outcome-list construction on many-degraded programs. *)
 
 open Cqual
 module Diag = Cfront.Diag
+module Cparse = Cfront.Cparse
 module Solver = Typequal.Solver
 
 (* everything observable from a run: the test_parallel digest plus the
@@ -43,23 +44,78 @@ let digest (r : Session.run) : string =
        st.Solver.worklist_pops);
   Buffer.contents b
 
-let run ?mode ?jobs ?max_errors frontend files =
-  Session.run_sources ~frontend ?mode ?jobs ?max_errors files
+let run ?mode ?jobs ?max_errors files =
+  Session.run_sources ?mode ?jobs ?max_errors files
 
-(* both frontends, serial and jobs 4, must agree observably *)
-let check_parity ?mode ?max_errors what files =
-  let d0 = digest (run ?mode ?max_errors ~jobs:1 Session.Per_unit files) in
+(* what the whole-program frontend must agree on with the per-unit one,
+   leaving out everything that carries a line: the report counts,
+   outcome names and kinds, solver counters, and the diagnostics as a
+   sorted (code, message) list *)
+let projection (res : Report.results) (st : Solver.stats) diags : string =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "declared=%d possible=%d must=%d total=%d errors=%d\n"
+    res.Report.declared res.Report.possible res.Report.must res.Report.total
+    res.Report.type_errors;
   List.iter
-    (fun (label, frontend, jobs) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: %s" what label)
-        d0
-        (digest (run ?mode ?max_errors ~jobs frontend files)))
-    [
-      ("concat serial", Session.Concat, 1);
-      ("per-unit jobs 4", Session.Per_unit, 4);
-      ("concat jobs 4", Session.Concat, 4);
-    ];
+    (fun (f, o) ->
+      Printf.bprintf b "%s %s\n"
+        (match o with
+        | Analysis.Analyzed -> "analyzed"
+        | Analysis.Degraded _ -> "degraded")
+        f)
+    res.Report.outcomes;
+  Printf.bprintf b "vars=%d unified=%d edges=%d deduped=%d cycles=%d pops=%d\n"
+    st.Solver.vars_created st.Solver.vars_unified st.Solver.edges_added
+    st.Solver.edges_deduped st.Solver.cycles_collapsed st.Solver.worklist_pops;
+  List.iter
+    (fun (code, msg) -> Printf.bprintf b "%s %s\n" code msg)
+    (List.sort compare
+       (List.map (fun d -> (d.Diag.d_code, d.Diag.d_message)) diags));
+  Buffer.contents b
+
+(* The test-only model of the whole-program frontend: join the units
+   into one text, each behind a comment naming its file, parse it once,
+   then build, analyze and measure it. *)
+let concat_model ?(mode = Analysis.Mono) ?(max_errors = 20) files : string =
+  let src =
+    String.concat ""
+      (List.map
+         (fun (name, s) ->
+           let nl =
+             if s <> "" && s.[String.length s - 1] <> '\n' then "\n" else ""
+           in
+           Printf.sprintf "/* === %s === */\n%s%s" name s nl)
+         files)
+  in
+  let pr = Cparse.parse_program_partial ~max_errors src in
+  let env, ifaces =
+    Analysis.run mode (Cfront.Cprog.build pr.Cparse.pr_prog)
+  in
+  let res = Report.measure env ifaces in
+  let res =
+    {
+      res with
+      Report.outcomes =
+        res.Report.outcomes
+        @ List.map
+            (fun (f, why) -> (f, Analysis.Degraded why))
+            pr.Cparse.pr_degraded;
+    }
+  in
+  projection res (Analysis.stats env) pr.Cparse.pr_diags
+
+(* the per-unit frontend agrees with itself across job counts on
+   everything observable, and with the whole-program model on the
+   line-free projection *)
+let check_parity ?mode ?max_errors what files =
+  let r1 = run ?mode ?max_errors ~jobs:1 files in
+  let d0 = digest r1 in
+  Alcotest.(check string) (what ^ ": per-unit jobs 4") d0
+    (digest (run ?mode ?max_errors ~jobs:4 files));
+  Alcotest.(check string) (what ^ ": whole-program model")
+    (concat_model ?mode ?max_errors files)
+    (projection r1.Session.results r1.Session.solver_stats
+       r1.Session.diagnostics);
   d0
 
 (* ---------------- parity on generated projects ---------------- *)
@@ -100,8 +156,7 @@ let test_unit_boundary_positions () =
     | ds -> Alcotest.failf "%s: expected 1 diagnostic, got %d" label
               (List.length ds)
   in
-  check_diags "per-unit" (run ~mode:Analysis.Mono Session.Per_unit files);
-  check_diags "concat" (run ~mode:Analysis.Mono Session.Concat files);
+  check_diags "per-unit" (run ~mode:Analysis.Mono files);
   ignore (check_parity ~mode:Analysis.Mono "boundary diag" files)
 
 (* ---------------- cross-unit environment threading ---------------- *)
@@ -121,7 +176,7 @@ let test_typedef_threading () =
       ("use.c", "myint global_x;\nint f(myint m) { return m; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Session.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "use.c reparsed" true
     ((frontend_stats r).Session.fs_reparsed >= 1);
   Alcotest.(check (list string)) "no diagnostics" []
@@ -135,14 +190,14 @@ let test_enum_threading () =
       ("use.c", "int f(void) { return GREEN + BLUE; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Session.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "use.c reparsed" true
     ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "enum threading" files)
 
 let test_anon_tag_threading () =
-  (* anonymous struct tags are numbered program-wide in the concat
-     pipeline; a later unit with its own anonymous tag must be re-parsed
+  (* anonymous struct tags are numbered program-wide in a whole-program
+     parse; a later unit with its own anonymous tag must be re-parsed
      with the running counter so the generated tags match *)
   let files =
     [
@@ -150,7 +205,7 @@ let test_anon_tag_threading () =
       ("b.c", "struct { int y; } g_b;\nint f(void) { return g_b.y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Session.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check bool) "b.c reparsed" true
     ((frontend_stats r).Session.fs_reparsed >= 1);
   ignore (check_parity ~mode:Analysis.Mono "anon tags" files)
@@ -162,7 +217,7 @@ let test_independent_units_not_reparsed () =
       ("b.c", "int g(int y) { return y; }\n");
     ]
   in
-  let r = run ~mode:Analysis.Mono Session.Per_unit files in
+  let r = run ~mode:Analysis.Mono files in
   Alcotest.(check int) "no reparses" 0
     (frontend_stats r).Session.fs_reparsed;
   Alcotest.(check int) "two units" 2 (frontend_stats r).Session.fs_units
@@ -174,7 +229,7 @@ let bad_decls n = String.concat "" (List.init n (fun _ -> "int 5;\n"))
 let test_budget_crosses_boundary () =
   (* 3 parse errors in unit 1, budget 5: unit 2's errors must keep
      counting from 3, so the cap (and its E0299 note) fires inside
-     unit 2 — identically under both frontends *)
+     unit 2, as in the whole-program model *)
   let files =
     [
       ("a.c", bad_decls 3 ^ "int f(int x) { return x; }\n");
@@ -183,7 +238,7 @@ let test_budget_crosses_boundary () =
   in
   let d = check_parity ~mode:Analysis.Mono ~max_errors:5 "budget" files in
   Alcotest.(check bool) "cap fired in b.c" true
-    (let r = run ~mode:Analysis.Mono ~max_errors:5 Session.Per_unit files in
+    (let r = run ~mode:Analysis.Mono ~max_errors:5 files in
      List.exists
        (fun dg ->
          dg.Diag.d_code = "E0299" && dg.Diag.d_unit = Some "b.c")
@@ -205,7 +260,7 @@ let test_budget_exact_boundary () =
     ]
   in
   ignore (check_parity ~mode:Analysis.Mono ~max_errors:2 "exact boundary" files);
-  let r = run ~mode:Analysis.Mono ~max_errors:2 Session.Per_unit files in
+  let r = run ~mode:Analysis.Mono ~max_errors:2 files in
   (match List.rev r.Session.diagnostics with
   | last :: _ ->
       Alcotest.(check string) "E0299 last" "E0299" last.Diag.d_code;
@@ -229,7 +284,8 @@ let test_many_degraded_outcomes () =
            Printf.sprintf "int f%04d(int *p) { return * ; }\n" i))
   in
   let r =
-    Session.run_source ~mode:Analysis.Mono ~max_errors:(n + 1) src
+    Session.run_sources ~mode:Analysis.Mono ~max_errors:(n + 1)
+      [ ("<input>", src) ]
   in
   let outs = r.Session.results.Report.outcomes in
   Alcotest.(check int) "all functions have outcomes" n (List.length outs);

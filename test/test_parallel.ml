@@ -97,8 +97,8 @@ let test_parallel_deterministic () =
       let src = Cbench.Gen.generate ~seed ~target_lines:400 () in
       List.iter
         (fun (mname, mode) ->
-          let serial = Session.run_source ~mode ~jobs:1 src in
-          let par = Session.run_source ~mode ~jobs:4 src in
+          let serial = Session.run_sources ~mode ~jobs:1 [ ("<input>", src) ] in
+          let par = Session.run_sources ~mode ~jobs:4 [ ("<input>", src) ] in
           Alcotest.(check string)
             (Printf.sprintf "seed %d %s: jobs 4 = jobs 1" seed mname)
             (digest serial) (digest par))
@@ -110,8 +110,10 @@ let test_parallel_deterministic_taint () =
   let rules = Analysis.taint_rules in
   List.iter
     (fun (mname, mode) ->
-      let serial = Session.run_source ~rules ~mode ~jobs:1 src in
-      let par = Session.run_source ~rules ~mode ~jobs:2 src in
+      let serial =
+        Session.run_sources ~rules ~mode ~jobs:1 [ ("<input>", src) ]
+      in
+      let par = Session.run_sources ~rules ~mode ~jobs:2 [ ("<input>", src) ] in
       Alcotest.(check string)
         (Printf.sprintf "taint %s: jobs 2 = jobs 1" mname)
         (digest serial) (digest par))
@@ -120,8 +122,12 @@ let test_parallel_deterministic_taint () =
 let test_parallel_repeatable () =
   (* the same jobs-4 run twice: nothing nondeterministic may leak *)
   let src = Cbench.Gen.generate ~seed:15 ~target_lines:400 () in
-  let a = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
-  let b = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let a =
+    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
+  in
+  let b =
+    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
+  in
   Alcotest.(check string) "two jobs-4 runs agree" (digest a) (digest b)
 
 (* ---------------- degradation at jobs > 1 ---------------- *)
@@ -134,7 +140,7 @@ let test_budget_exhaustion_parallel () =
   List.iter
     (fun (mname, mode) ->
       let budget = Budget.create ~max_vars:60 ~clock:Unix.gettimeofday () in
-      let r = Session.run_source ~mode ~budget ~jobs:4 src in
+      let r = Session.run_sources ~mode ~budget ~jobs:4 [ ("<input>", src) ] in
       let res = r.Session.results in
       let degraded =
         List.filter
@@ -163,7 +169,9 @@ let test_faulting_scc_isolated () =
   in
   List.iter
     (fun jobs ->
-      let r = Session.run_source ~mode:Analysis.Poly ~jobs src in
+      let r =
+        Session.run_sources ~mode:Analysis.Poly ~jobs [ ("<input>", src) ]
+      in
       let outcome f = List.assoc f r.Session.results.Report.outcomes in
       (match outcome "ok" with
       | Analysis.Analyzed -> ()
@@ -173,8 +181,12 @@ let test_faulting_scc_isolated () =
       | Analysis.Analyzed -> Alcotest.fail "use should degrade")
     [ 1; 4 ];
   (* and the two job counts agree on the whole report *)
-  let serial = Session.run_source ~mode:Analysis.Poly ~jobs:1 src in
-  let par = Session.run_source ~mode:Analysis.Poly ~jobs:4 src in
+  let serial =
+    Session.run_sources ~mode:Analysis.Poly ~jobs:1 [ ("<input>", src) ]
+  in
+  let par =
+    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
+  in
   Alcotest.(check string) "fault parity" (digest serial) (digest par)
 
 let tests =

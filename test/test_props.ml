@@ -592,7 +592,8 @@ let prop_wider_space_parity =
     (fun seed ->
       let src = Cbench.Gen.generate ~seed ~target_lines:60 () in
       let run rules =
-        (Cqual.Session.run_source ~mode:Cqual.Analysis.Mono ~rules src)
+        (Cqual.Session.run_sources ~mode:Cqual.Analysis.Mono ~rules
+           [ ("<input>", src) ])
           .Cqual.Session.results
       in
       let a = run Cqual.Analysis.const_rules and b = run wide_const_rules in
@@ -659,7 +660,10 @@ let prop_modes_nest_projects =
 let test_modes_nest_suite () =
   List.iter
     (fun (name, src) ->
-      match modes_nest (fun mode -> Cqual.Session.run_source ~mode src) with
+      match
+        modes_nest (fun mode ->
+            Cqual.Session.run_sources ~mode [ ("<input>", src) ])
+      with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" name m)
     Cbench.Programs.all

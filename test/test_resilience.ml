@@ -65,7 +65,7 @@ let test_recovery_three_errors () =
       Alcotest.(check string) "code 3" "E0201" d3.Diag.d_code;
       Alcotest.(check int) "line 3" 5 d3.Diag.d_span.Diag.sl
   | _ -> Alcotest.fail "expected exactly three errors");
-  let r = Session.run_source ~mode:Analysis.Mono bad3 in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", bad3) ] in
   check_analyzed r "good1";
   check_analyzed r "good2";
   check_analyzed r "good3";
@@ -88,7 +88,7 @@ let test_body_demotion_isolates_caller () =
     "int broken(int *p) { return * ; }\n\
      int caller(int *q) { return broken(q); }\n"
   in
-  let r = Session.run_source ~mode:Analysis.Mono src in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
   check_analyzed r "caller";
   let reason = check_degraded r "broken" in
   Alcotest.(check bool)
@@ -108,7 +108,7 @@ let test_lex_recovery () =
   let src =
     "int f(int *p) { return *p; }\n@\nint g(int *q) { return *q; }\n"
   in
-  let r = Session.run_source ~mode:Analysis.Mono src in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
   (match r.Session.diagnostics with
   | [ d ] ->
       Alcotest.(check string) "code" "E0101" d.Diag.d_code;
@@ -120,7 +120,7 @@ let test_lex_recovery () =
 
 let test_unterminated_comment () =
   let src = "int f(int *p) { return *p; }\n/* never closed" in
-  let r = Session.run_source ~mode:Analysis.Mono src in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
   Alcotest.(check bool)
     "E0103 reported" true
     (List.exists (fun d -> d.Diag.d_code = "E0103") r.Session.diagnostics);
@@ -128,7 +128,7 @@ let test_unterminated_comment () =
 
 let test_unterminated_string () =
   let src = "int f(int *p) { return *p; }\nchar *s = \"oops\n" in
-  let r = Session.run_source ~mode:Analysis.Mono src in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
   Alcotest.(check bool)
     "E0102 reported" true
     (List.exists (fun d -> d.Diag.d_code = "E0102") r.Session.diagnostics);
@@ -146,6 +146,31 @@ let test_max_errors_cap () =
   Alcotest.(check string) "gave up note" "E0299" last.Diag.d_code;
   Alcotest.(check bool) "note severity" true (last.Diag.d_severity = Diag.Note)
 
+let test_max_errors_below_one () =
+  (* a budget below 1 would give up before the first token and analyze
+     nothing: every batch entry point and the session reject it *)
+  let files = [ ("<input>", "int ok(int *p) { return *p; }\n") ] in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: max_errors below 1 accepted" what
+    | exception Session.Error m ->
+        Alcotest.(check bool) (what ^ ": message") true
+          (contains ~sub:"max_errors" m)
+  in
+  List.iter
+    (fun n ->
+      rejects
+        (Printf.sprintf "run_sources %d" n)
+        (fun () -> ignore (Session.run_sources ~max_errors:n files));
+      rejects
+        (Printf.sprintf "compile_sources %d" n)
+        (fun () -> ignore (Session.compile_sources ~max_errors:n files));
+      rejects
+        (Printf.sprintf "create %d" n)
+        (fun () -> ignore (Session.create ~max_errors:n files)))
+    [ 0; -5 ];
+  check_analyzed (Session.run_sources ~max_errors:1 files) "ok"
+
 let test_unknown_typedef_degrades () =
   (* the first declarator registers T in the parser's typedef set, then
      the second one fails, so the whole GTypedef is lost to recovery:
@@ -155,7 +180,7 @@ let test_unknown_typedef_degrades () =
      int use(T *p) { return *p; }\n\
      int ok(int *q) { return *q; }\n"
   in
-  let r = Session.run_source ~mode:Analysis.Mono src in
+  let r = Session.run_sources ~mode:Analysis.Mono [ ("<input>", src) ] in
   check_analyzed r "ok";
   let reason = check_degraded r "use" in
   Alcotest.(check bool)
@@ -186,14 +211,18 @@ let check_all_budget_degraded r =
 let test_budget_pops () =
   let src = Cbench.Gen.generate ~seed:7 ~target_lines:120 () in
   let budget = Budget.create ~max_pops:20 () in
-  let r = Session.run_source ~mode:Analysis.Mono ~budget src in
+  let r =
+    Session.run_sources ~mode:Analysis.Mono ~budget [ ("<input>", src) ]
+  in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
 let test_budget_vars () =
   let src = Cbench.Gen.generate ~seed:11 ~target_lines:120 () in
   let budget = Budget.create ~max_vars:5 () in
-  let r = Session.run_source ~mode:Analysis.Poly ~budget src in
+  let r =
+    Session.run_sources ~mode:Analysis.Poly ~budget [ ("<input>", src) ]
+  in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
@@ -207,14 +236,18 @@ let test_budget_deadline () =
   in
   let src = Cbench.Gen.generate ~seed:3 ~target_lines:200 () in
   let budget = Budget.create ~deadline_s:1.0 ~clock () in
-  let r = Session.run_source ~mode:Analysis.Mono ~budget src in
+  let r =
+    Session.run_sources ~mode:Analysis.Mono ~budget [ ("<input>", src) ]
+  in
   Alcotest.(check bool) "tripped" true (Budget.is_exhausted budget);
   check_all_budget_degraded r
 
 let test_budget_untripped_is_clean () =
   let src = "int f(const int *p) { return *p; }\n" in
   let budget = Budget.create ~max_vars:1000 ~max_pops:100000 () in
-  let r = Session.run_source ~mode:Analysis.Mono ~budget src in
+  let r =
+    Session.run_sources ~mode:Analysis.Mono ~budget [ ("<input>", src) ]
+  in
   Alcotest.(check bool) "not tripped" false (Budget.is_exhausted budget);
   check_analyzed r "f";
   match r.Session.results.Report.positions with
@@ -408,9 +441,9 @@ let prop_fault_injection =
       let src0 = Cbench.Gen.generate ~seed:pseed ~target_lines:50 () in
       let src1 = mutate kind a b src0 in
       let r1 =
-        try Session.run_source ~mode:Analysis.Mono src1
+        try Session.run_sources ~mode:Analysis.Mono [ ("<input>", src1) ]
         with e ->
-          QCheck2.Test.fail_reportf "Session.run_source raised %s on:\n%s"
+          QCheck2.Test.fail_reportf "Session.run_sources raised %s on:\n%s"
             (Printexc.to_string e) src1
       in
       (* a source the strict parser rejects must carry a diagnostic *)
@@ -432,7 +465,9 @@ let prop_fault_injection =
          every function is potentially affected then *)
       if nonfuns_of p0 <> nonfuns_of p1 || dup f0 || dup f1 then true
       else begin
-        let r0 = Session.run_source ~mode:Analysis.Mono src0 in
+        let r0 =
+          Session.run_sources ~mode:Analysis.Mono [ ("<input>", src0) ]
+        in
         let prog0 = Cprog.build p0.Cparse.pr_prog in
         let prog1 = Cprog.build p1.Cparse.pr_prog in
         let changed =
@@ -499,6 +534,8 @@ let tests =
     Alcotest.test_case "recovery: unterminated string" `Quick
       test_unterminated_string;
     Alcotest.test_case "recovery: --max-errors cap" `Quick test_max_errors_cap;
+    Alcotest.test_case "recovery: --max-errors below 1 rejected" `Quick
+      test_max_errors_below_one;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
     Alcotest.test_case "budget: worklist pops" `Quick test_budget_pops;
