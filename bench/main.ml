@@ -44,7 +44,8 @@
                explicitly (or under "all") — the corpus is large.
                TYPEQUAL_SCALE_LINES overrides the line target.
      frontend— per-unit parse+link on the million-line corpus: compile
-               wall time and peak heap, serial and at jobs 4, zero link
+               wall time and peak heap, the scanner's MB/s and token
+               count, serial and at jobs 4, zero link
                reparses, byte-identical reports at jobs 1/4, and the
                per-unit AST cache re-parsing exactly the dirty unit;
                writes BENCH_frontend.json. Only runs when named
@@ -1637,6 +1638,27 @@ let frontend_bench () =
      %.3fs, link %.3fs@."
     fs.Session.fs_units fs.Session.fs_reparsed fs.Session.fs_lex_s
     fs.Session.fs_parse_s fs.Session.fs_build_s fs.Session.fs_link_s;
+  (* ---- the scanner alone: throughput and token count (best of 3) ---- *)
+  let bytes = List.fold_left (fun a (_, src) -> a + String.length src) 0 files in
+  let lex_all () =
+    List.fold_left
+      (fun n (_, src) ->
+        n + Cfront.Tokbuf.length (fst (Cfront.Clexer.tokenize_buf src)))
+      0 files
+  in
+  let tokens = lex_all () in
+  let t_lex =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (lex_all () : int);
+           Unix.gettimeofday () -. t0))
+  in
+  let mb_s t = float bytes /. t /. 1e6 in
+  Fmt.pr
+    "scanner: %d bytes, %d tokens, %.3fs alone (%.1f MB/s), %.1f MB/s in \
+     the pipeline@."
+    bytes tokens t_lex (mb_s t_lex) (mb_s fs.Session.fs_lex_s);
   let co_pu4 = Session.compile_sources ~jobs:4 files in
   let t_pu4 = co_pu4.Session.co_t_compile in
   Fmt.pr "per-unit at jobs 4: %.3fs (%.2fx vs serial per-unit)@.@." t_pu4
@@ -1737,6 +1759,15 @@ let frontend_bench () =
                ("parse_s", jf fs.Session.fs_parse_s);
                ("build_s", jf fs.Session.fs_build_s);
                ("link_s", jf fs.Session.fs_link_s);
+             ] );
+         ( "lex",
+           Jobj
+             [
+               ("bytes", ji bytes);
+               ("tokens", ji tokens);
+               ("alone_s", jf t_lex);
+               ("alone_mb_per_s", jf (mb_s t_lex));
+               ("pipeline_mb_per_s", jf (mb_s fs.Session.fs_lex_s));
              ] );
          ("per_unit_jobs4_t_compile_s", jf t_pu4);
          ("reports_identical", jb (d_pu1 = d_pu4));

@@ -199,24 +199,24 @@ let ctype_to_string t = Fmt.str "%a" pp_ctype t
 (* Traversal helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The folds below recurse over lists and options directly rather than
+   through List.fold_left / Option.fold, so a walk allocates no closure
+   per node: the FDG folds them over every function body. *)
+
 (** Fold over every expression in a statement (pre-order). *)
 let rec fold_stmt_exprs f acc = function
   | SExpr e -> f acc e
-  | SDecl ds ->
-      List.fold_left
-        (fun acc d -> match d.d_init with Some e -> f acc e | None -> acc)
-        acc ds
-  | SBlock ss -> List.fold_left (fold_stmt_exprs f) acc ss
+  | SDecl ds -> fold_decl_inits f acc ds
+  | SBlock ss -> fold_stmts_exprs f acc ss
   | SIf (e, s1, s2) ->
-      let acc = f acc e in
-      let acc = fold_stmt_exprs f acc s1 in
-      Option.fold ~none:acc ~some:(fold_stmt_exprs f acc) s2
+      let acc = fold_stmt_exprs f (f acc e) s1 in
+      (match s2 with Some s -> fold_stmt_exprs f acc s | None -> acc)
   | SWhile (e, s) -> fold_stmt_exprs f (f acc e) s
   | SDoWhile (s, e) -> f (fold_stmt_exprs f acc s) e
   | SFor (init, cond, step, body) ->
-      let acc = Option.fold ~none:acc ~some:(fold_stmt_exprs f acc) init in
-      let acc = Option.fold ~none:acc ~some:(f acc) cond in
-      let acc = Option.fold ~none:acc ~some:(f acc) step in
+      let acc = match init with Some s -> fold_stmt_exprs f acc s | None -> acc in
+      let acc = match cond with Some e -> f acc e | None -> acc in
+      let acc = match step with Some e -> f acc e | None -> acc in
       fold_stmt_exprs f acc body
   | SReturn (Some e) -> f acc e
   | SReturn None | SBreak | SContinue | SGoto _ | SNull -> acc
@@ -224,17 +224,36 @@ let rec fold_stmt_exprs f acc = function
   | SCase (e, s) -> fold_stmt_exprs f (f acc e) s
   | SDefault s | SLabel (_, s) -> fold_stmt_exprs f acc s
 
-(** All identifiers referenced in an expression (for the FDG). *)
-let rec expr_idents acc = function
+(** {!fold_stmt_exprs} over a statement list, in order. *)
+and fold_stmts_exprs f acc = function
+  | [] -> acc
+  | s :: ss -> fold_stmts_exprs f (fold_stmt_exprs f acc s) ss
+
+and fold_decl_inits f acc = function
+  | [] -> acc
+  | { d_init = Some e; _ } :: ds -> fold_decl_inits f (f acc e) ds
+  | { d_init = None; _ } :: ds -> fold_decl_inits f acc ds
+
+(** Fold [f] over every identifier occurrence in an expression, left to
+    right (for the FDG). *)
+let rec fold_expr_vars f acc = function
   | EInt _ | EFloat _ | EChar _ | EString _ | ESizeofT _ -> acc
-  | EVar x -> x :: acc
+  | EVar x -> f acc x
   | EUnop (_, e) | ECast (_, e) | ESizeofE e | EAddr e | EDeref e
   | EIncDec (_, _, e) ->
-      expr_idents acc e
+      fold_expr_vars f acc e
   | EBinop (_, a, b) | EAssign (a, b) | EAssignOp (_, a, b) | EComma (a, b)
   | EIndex (a, b) ->
-      expr_idents (expr_idents acc a) b
-  | ECond (a, b, c) -> expr_idents (expr_idents (expr_idents acc a) b) c
-  | ECall (f, args) -> List.fold_left expr_idents (expr_idents acc f) args
-  | EMember (e, _) | EArrow (e, _) -> expr_idents acc e
-  | EInitList es -> List.fold_left expr_idents acc es
+      fold_expr_vars f (fold_expr_vars f acc a) b
+  | ECond (a, b, c) ->
+      fold_expr_vars f (fold_expr_vars f (fold_expr_vars f acc a) b) c
+  | ECall (g, args) -> fold_exprs_vars f (fold_expr_vars f acc g) args
+  | EMember (e, _) | EArrow (e, _) -> fold_expr_vars f acc e
+  | EInitList es -> fold_exprs_vars f acc es
+
+and fold_exprs_vars f acc = function
+  | [] -> acc
+  | e :: es -> fold_exprs_vars f (fold_expr_vars f acc e) es
+
+(** All identifiers referenced in an expression. *)
+let expr_idents acc e = fold_expr_vars (fun acc x -> x :: acc) acc e

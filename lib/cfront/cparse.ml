@@ -6,7 +6,7 @@
     typedefs (names tracked so casts and declarations disambiguate), the
     whole C expression grammar with correct precedence, and the usual
     statements. Menhir is not available in this environment, so the parser
-    is hand-written over the ocamllex token stream. *)
+    is hand-written over the scanner's token buffer. *)
 
 open Cast
 
@@ -14,8 +14,8 @@ exception Parse_error of string * Diag.span
 
 type st = {
   t_toks : Ctoken.t array;  (* flat token array; last entry is EOF *)
-  t_spans : int array;  (* 4 ints per token (sl, sc, el, ec); spans are
-                           rebuilt lazily, only on paths that report them *)
+  t_spans : int array;  (* packed, see Tokbuf; span records are rebuilt
+                           lazily, only on paths that report them *)
   t_len : int;
   mutable pos : int;
   typedefs : (string, unit) Hashtbl.t;
@@ -68,9 +68,6 @@ let make_state_tb ?(recover = false) ?(typedefs = []) ?(enums = [])
     last_params = [];
   }
 
-let make_state ?(recover = false) toks =
-  make_state_tb ~recover (Tokbuf.of_list toks)
-
 let add_diag st d =
   st.diags <- d :: st.diags;
   st.n_diags <- st.n_diags + 1
@@ -79,44 +76,45 @@ let peek st = st.t_toks.(st.pos)
 let peek2 st =
   if st.pos + 1 < st.t_len then st.t_toks.(st.pos + 1) else Ctoken.EOF
 
-let span st : Diag.span =
-  let o = 4 * st.pos in
-  {
-    Diag.sl = st.t_spans.(o);
-    sc = st.t_spans.(o + 1);
-    el = st.t_spans.(o + 2);
-    ec = st.t_spans.(o + 3);
-  }
+let span st : Diag.span = Tokbuf.span_of st.t_spans st.pos
 
-let line st = st.t_spans.(4 * st.pos)
+let line st = Tokbuf.line_of st.t_spans st.pos
+
+let advance st = if st.pos + 1 < st.t_len then st.pos <- st.pos + 1
 
 let next st =
   let t = st.t_toks.(st.pos) in
-  if st.pos + 1 < st.t_len then st.pos <- st.pos + 1;
+  advance st;
   t
 
 let err st msg = raise (Parse_error (msg, span st))
 
-let expect st t =
+(* Is the current token [t]? Only ever asked of punctuation and keywords:
+   constant constructors, for which physical equality is token equality
+   and costs no call into polymorphic compare. *)
+let at st (t : Ctoken.t) = st.t_toks.(st.pos) == t
+
+let at2 st (t : Ctoken.t) = st.pos + 1 < st.t_len && st.t_toks.(st.pos + 1) == t
+
+(* [expect] and [ident] consume the current token either way, and build
+   the error span only when they raise *)
+let unexpected st what =
   let sp = span st in
   let got = next st in
-  if got <> t then
-    raise
-      (Parse_error
-         ( Printf.sprintf "expected `%s', got `%s'" (Ctoken.to_string t)
-             (Ctoken.to_string got),
-           sp ))
+  raise
+    (Parse_error
+       (Printf.sprintf "expected %s, got `%s'" what (Ctoken.to_string got), sp))
+
+let expect st t =
+  if at st t then advance st
+  else unexpected st (Printf.sprintf "`%s'" (Ctoken.to_string t))
 
 let ident st =
-  let sp = span st in
-  match next st with
-  | Ctoken.IDENT x -> x
-  | t ->
-      raise
-        (Parse_error
-           ( Printf.sprintf "expected identifier, got `%s'"
-               (Ctoken.to_string t),
-             sp ))
+  match peek st with
+  | Ctoken.IDENT x ->
+      advance st;
+      x
+  | _ -> unexpected st "identifier"
 
 let fresh_anon st prefix =
   st.anon <- st.anon + 1;
@@ -154,20 +152,42 @@ type specs = {
   s_extern : bool;
 }
 
-(* binary operators by precedence level, loosest first *)
-let binop_levels =
-  [|
-    [ (Ctoken.BARBAR, LOr) ];
-    [ (Ctoken.AMPAMP, LAnd) ];
-    [ (Ctoken.BAR, BOr) ];
-    [ (Ctoken.CARET, BXor) ];
-    [ (Ctoken.AMP, BAnd) ];
-    [ (Ctoken.EQEQ, Eq); (Ctoken.NE, Ne) ];
-    [ (Ctoken.LT, Lt); (Ctoken.GT, Gt); (Ctoken.LE, Le); (Ctoken.GE, Ge) ];
-    [ (Ctoken.SHL, Shl); (Ctoken.SHR, Shr) ];
-    [ (Ctoken.PLUS, Add); (Ctoken.MINUS, Sub) ];
-    [ (Ctoken.STAR, Mul); (Ctoken.SLASH, Div); (Ctoken.PERCENT, Mod) ];
-  |]
+(* The binary operator a token denotes, with its precedence level,
+   loosest first. All binary operators are left-associative. *)
+let binop_of_token : Ctoken.t -> (int * binop) option = function
+  | BARBAR -> Some (0, LOr)
+  | AMPAMP -> Some (1, LAnd)
+  | BAR -> Some (2, BOr)
+  | CARET -> Some (3, BXor)
+  | AMP -> Some (4, BAnd)
+  | EQEQ -> Some (5, Eq)
+  | NE -> Some (5, Ne)
+  | LT -> Some (6, Lt)
+  | GT -> Some (6, Gt)
+  | LE -> Some (6, Le)
+  | GE -> Some (6, Ge)
+  | SHL -> Some (7, Shl)
+  | SHR -> Some (7, Shr)
+  | PLUS -> Some (8, Add)
+  | MINUS -> Some (8, Sub)
+  | STAR -> Some (9, Mul)
+  | SLASH -> Some (9, Div)
+  | PERCENT -> Some (9, Mod)
+  | _ -> None
+
+(* the operator of a compound assignment token *)
+let assign_op : Ctoken.t -> binop option = function
+  | PLUS_ASSIGN -> Some Add
+  | MINUS_ASSIGN -> Some Sub
+  | STAR_ASSIGN -> Some Mul
+  | SLASH_ASSIGN -> Some Div
+  | PERCENT_ASSIGN -> Some Mod
+  | AMP_ASSIGN -> Some BAnd
+  | BAR_ASSIGN -> Some BOr
+  | CARET_ASSIGN -> Some BXor
+  | SHL_ASSIGN -> Some Shl
+  | SHR_ASSIGN -> Some Shr
+  | _ -> None
 
 (* Struct/union/enum definitions encountered inside decl-specs are hoisted
    out as extra globals; the caller collects them. *)
@@ -216,12 +236,14 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         ignore (next st);
         match !base with
         | Some (`Short | `Long) | None ->
-            if !base = None then set_base `Int
+            if Option.is_none !base then set_base `Int
         | Some _ -> err st "two base types in declaration")
     | KW_LONG ->
         ignore (next st);
         incr long_count;
-        if !base = None || !base = Some `Int then base := Some `Long
+        (match !base with
+        | None | Some `Int -> base := Some `Long
+        | Some _ -> ())
     | KW_FLOAT ->
         ignore (next st);
         set_base `Float
@@ -235,7 +257,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         ignore (next st);
         signed := Some false
     | KW_STRUCT | KW_UNION ->
-        let is_union = peek st = KW_UNION in
+        let is_union = at st KW_UNION in
         ignore (next st);
         let tag =
           match peek st with
@@ -244,7 +266,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
               x
           | _ -> fresh_anon st (if is_union then "union" else "struct")
         in
-        if peek st = LBRACE then begin
+        if at st LBRACE then begin
           let fields = parse_fields st hoist in
           hoist := GComp (tag, is_union, fields, line st) :: !hoist
         end;
@@ -258,7 +280,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
               x
           | _ -> fresh_anon st "enum"
         in
-        if peek st = LBRACE then begin
+        if at st LBRACE then begin
           ignore (next st);
           let items = ref [] in
           let v = ref 0 in
@@ -301,11 +323,14 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
         end;
         (* enums are ints for the analysis *)
         set_base `Int
-    | IDENT x when is_typedef st x && !base = None && !signed = None ->
+    | IDENT x
+      when Option.is_none !base && Option.is_none !signed && is_typedef st x
+      ->
         ignore (next st);
         set_base (`Named x)
     | _ -> continue_ := false);
-    if !base <> None && not (starts_spec_continuation st) then continue_ := false
+    if Option.is_some !base && not (starts_spec_continuation st) then
+      continue_ := false
   done;
   let q = List.sort_uniq compare !quals in
   let ikind_of b =
@@ -329,7 +354,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
     | Some (`Struct tag) -> TStruct (tag, q)
     | Some (`Named x) -> TNamed (x, q)
     | None ->
-        if !signed <> None || !long_count > 0 then TInt (ikind_of `Int, q)
+        if Option.is_some !signed || !long_count > 0 then TInt (ikind_of `Int, q)
         else TInt (IInt, q) (* implicit int, as in K&R C *)
   in
   {
@@ -479,7 +504,7 @@ and parse_params st hoist : (string * ctype) list * bool =
   in
   match peek st with
   | Ctoken.RPAREN -> finish [] false
-  | KW_VOID when peek2 st = RPAREN ->
+  | KW_VOID when at2 st RPAREN ->
       ignore (next st);
       finish [] false
   | _ ->
@@ -498,7 +523,7 @@ and parse_params st hoist : (string * ctype) list * bool =
               | None -> (Printf.sprintf "$p%d" (List.length acc), None)
             in
             let acc = (name, t, sp) :: acc in
-            if peek st = COMMA then begin
+            if at st COMMA then begin
               ignore (next st);
               go acc
             end
@@ -509,7 +534,7 @@ and parse_params st hoist : (string * ctype) list * bool =
 and parse_fields st hoist : (string * ctype) list =
   expect st LBRACE;
   let fields = ref [] in
-  while peek st <> RBRACE do
+  while not (at st RBRACE) do
     let specs = parse_decl_specs st hoist in
     (* bitfields and multiple declarators *)
     let rec decls () =
@@ -562,24 +587,16 @@ and parse_expr st hoist : expr =
 
 and parse_assign st hoist : expr =
   let lhs = parse_cond st hoist in
-  let mk op =
-    ignore (next st);
-    let rhs = parse_assign st hoist in
-    match op with None -> EAssign (lhs, rhs) | Some b -> EAssignOp (b, lhs, rhs)
-  in
   match peek st with
-  | Ctoken.ASSIGN -> mk None
-  | PLUS_ASSIGN -> mk (Some Add)
-  | MINUS_ASSIGN -> mk (Some Sub)
-  | STAR_ASSIGN -> mk (Some Mul)
-  | SLASH_ASSIGN -> mk (Some Div)
-  | PERCENT_ASSIGN -> mk (Some Mod)
-  | AMP_ASSIGN -> mk (Some BAnd)
-  | BAR_ASSIGN -> mk (Some BOr)
-  | CARET_ASSIGN -> mk (Some BXor)
-  | SHL_ASSIGN -> mk (Some Shl)
-  | SHR_ASSIGN -> mk (Some Shr)
-  | _ -> lhs
+  | Ctoken.ASSIGN ->
+      advance st;
+      EAssign (lhs, parse_assign st hoist)
+  | t -> (
+      match assign_op t with
+      | Some op ->
+          advance st;
+          EAssignOp (op, lhs, parse_assign st hoist)
+      | None -> lhs)
 
 and parse_cond st hoist : expr =
   let c = parse_binary st hoist 0 in
@@ -592,23 +609,19 @@ and parse_cond st hoist : expr =
       ECond (c, e1, e2)
   | _ -> c
 
-and parse_binary st hoist level : expr =
-  if level >= Array.length binop_levels then parse_cast_expr st hoist
-  else begin
-    let ops = binop_levels.(level) in
-    let lhs = ref (parse_binary st hoist (level + 1)) in
-    let rec go () =
-      match List.assoc_opt (peek st) ops with
-      | Some op ->
-          ignore (next st);
-          let rhs = parse_binary st hoist (level + 1) in
-          lhs := EBinop (op, !lhs, rhs);
-          go ()
-      | None -> ()
-    in
-    go ();
-    !lhs
-  end
+(* binary operators of level [min_level] or tighter, by precedence
+   climbing: the same left-associative trees as one grammar rule per
+   level, without descending through every level for every operand *)
+and parse_binary st hoist min_level : expr =
+  binary_rest st hoist min_level (parse_cast_expr st hoist)
+
+and binary_rest st hoist min_level lhs =
+  match binop_of_token (peek st) with
+  | Some (level, op) when level >= min_level ->
+      advance st;
+      let rhs = parse_binary st hoist (level + 1) in
+      binary_rest st hoist min_level (EBinop (op, lhs, rhs))
+  | _ -> lhs
 
 and parse_cast_expr st hoist : expr =
   match peek st with
@@ -617,7 +630,7 @@ and parse_cast_expr st hoist : expr =
       let t = parse_type_name st hoist in
       expect st RPAREN;
       (* (T){...} compound literals: treat as cast of init list *)
-      if peek st = LBRACE then ECast (t, parse_init st hoist)
+      if at st LBRACE then ECast (t, parse_init st hoist)
       else ECast (t, parse_cast_expr st hoist)
   | _ -> parse_unary st hoist
 
@@ -660,7 +673,7 @@ and parse_unary st hoist : expr =
       EUnop (BitNot, parse_cast_expr st hoist)
   | KW_SIZEOF ->
       ignore (next st);
-      if peek st = LPAREN && starts_type_at st (st.pos + 1) then begin
+      if at st LPAREN && starts_type_at st (st.pos + 1) then begin
         ignore (next st);
         let t = parse_type_name st hoist in
         expect st RPAREN;
@@ -670,61 +683,55 @@ and parse_unary st hoist : expr =
   | _ -> parse_postfix st hoist
 
 and parse_postfix st hoist : expr =
-  let e = ref (parse_primary st hoist) in
-  let rec go () =
-    match peek st with
-    | Ctoken.LBRACKET ->
-        ignore (next st);
-        let i = parse_expr st hoist in
-        expect st RBRACKET;
-        e := EIndex (!e, i);
-        go ()
-    | LPAREN ->
-        ignore (next st);
-        let args =
-          if peek st = RPAREN then []
-          else
-            let rec args acc =
-              let a = parse_assign st hoist in
-              if peek st = COMMA then begin
-                ignore (next st);
-                args (a :: acc)
-              end
-              else List.rev (a :: acc)
-            in
-            args []
-        in
-        expect st RPAREN;
-        e := ECall (!e, args);
-        go ()
-    | DOT ->
-        ignore (next st);
-        e := EMember (!e, ident st);
-        go ()
-    | ARROW ->
-        ignore (next st);
-        e := EArrow (!e, ident st);
-        go ()
-    | PLUSPLUS ->
-        ignore (next st);
-        e := EIncDec (false, true, !e);
-        go ()
-    | MINUSMINUS ->
-        ignore (next st);
-        e := EIncDec (false, false, !e);
-        go ()
-    | _ -> ()
-  in
-  go ();
-  !e
+  postfix_rest st hoist (parse_primary st hoist)
+
+and postfix_rest st hoist e =
+  match peek st with
+  | Ctoken.LBRACKET ->
+      advance st;
+      let i = parse_expr st hoist in
+      expect st RBRACKET;
+      postfix_rest st hoist (EIndex (e, i))
+  | LPAREN ->
+      advance st;
+      let args = if at st RPAREN then [] else parse_args st hoist [] in
+      expect st RPAREN;
+      postfix_rest st hoist (ECall (e, args))
+  | DOT ->
+      advance st;
+      postfix_rest st hoist (EMember (e, ident st))
+  | ARROW ->
+      advance st;
+      postfix_rest st hoist (EArrow (e, ident st))
+  | PLUSPLUS ->
+      advance st;
+      postfix_rest st hoist (EIncDec (false, true, e))
+  | MINUSMINUS ->
+      advance st;
+      postfix_rest st hoist (EIncDec (false, false, e))
+  | _ -> e
+
+and parse_args st hoist acc =
+  let a = parse_assign st hoist in
+  if at st COMMA then begin
+    advance st;
+    parse_args st hoist (a :: acc)
+  end
+  else List.rev (a :: acc)
 
 and parse_primary st hoist : expr =
-  let sp = span st in
-  match next st with
-  | Ctoken.INT_LIT n -> EInt n
-  | FLOAT_LIT f -> EFloat f
-  | CHAR_LIT c -> EChar c
+  match peek st with
+  | Ctoken.INT_LIT n ->
+      advance st;
+      EInt n
+  | FLOAT_LIT f ->
+      advance st;
+      EFloat f
+  | CHAR_LIT c ->
+      advance st;
+      EChar c
   | STRING_LIT s ->
+      advance st;
       (* adjacent string literals concatenate *)
       let buf = Buffer.create (String.length s) in
       Buffer.add_string buf s;
@@ -739,14 +746,18 @@ and parse_primary st hoist : expr =
       more ();
       EString (Buffer.contents buf)
   | IDENT x -> (
+      advance st;
       match Hashtbl.find_opt st.enum_consts x with
       | Some n -> EInt n
       | None -> EVar x)
   | LPAREN ->
+      advance st;
       let e = parse_expr st hoist in
       expect st RPAREN;
       e
   | t ->
+      let sp = span st in
+      advance st;
       raise
         (Parse_error
            (Printf.sprintf "unexpected token `%s'" (Ctoken.to_string t), sp))
@@ -797,7 +808,7 @@ and parse_stmt st hoist : stmt =
       expect st RPAREN;
       let s1 = parse_stmt st hoist in
       let s2 =
-        if peek st = KW_ELSE then begin
+        if at st KW_ELSE then begin
           ignore (next st);
           Some (parse_stmt st hoist)
         end
@@ -823,7 +834,7 @@ and parse_stmt st hoist : stmt =
       ignore (next st);
       expect st LPAREN;
       let init =
-        if peek st = SEMI then begin
+        if at st SEMI then begin
           ignore (next st);
           None
         end
@@ -838,17 +849,17 @@ and parse_stmt st hoist : stmt =
         end
       in
       let cond =
-        if peek st = SEMI then None else Some (parse_expr st hoist)
+        if at st SEMI then None else Some (parse_expr st hoist)
       in
       expect st SEMI;
       let step =
-        if peek st = RPAREN then None else Some (parse_expr st hoist)
+        if at st RPAREN then None else Some (parse_expr st hoist)
       in
       expect st RPAREN;
       SFor (init, cond, step, parse_stmt st hoist)
   | KW_RETURN ->
       ignore (next st);
-      if peek st = SEMI then begin
+      if at st SEMI then begin
         ignore (next st);
         SReturn None
       end
@@ -885,7 +896,7 @@ and parse_stmt st hoist : stmt =
       let l = ident st in
       expect st SEMI;
       SGoto l
-  | IDENT x when peek2 st = COLON && not (is_typedef st x) ->
+  | IDENT x when at2 st COLON && not (is_typedef st x) ->
       ignore (next st);
       ignore (next st);
       SLabel (x, parse_stmt_or_null st hoist)
@@ -904,7 +915,7 @@ and parse_stmt_or_null st hoist =
 and parse_block st hoist : stmt list =
   expect st LBRACE;
   let stmts = ref [] in
-  while peek st <> RBRACE do
+  while not (at st RBRACE) do
     stmts := parse_stmt st hoist :: !stmts
   done;
   expect st RBRACE;
@@ -913,7 +924,7 @@ and parse_block st hoist : stmt list =
 and parse_local_decl st hoist : decl list =
   let ln = line st in
   let specs = parse_decl_specs st hoist in
-  if peek st = SEMI then begin
+  if at st SEMI then begin
     (* pure struct/enum declaration inside a function *)
     ignore (next st);
     []
@@ -928,7 +939,7 @@ and parse_local_decl st hoist : decl list =
         | None -> err st "declaration without name"
       in
       let init =
-        if peek st = ASSIGN then begin
+        if at st ASSIGN then begin
           ignore (next st);
           Some (parse_init st hoist)
         end
@@ -954,10 +965,10 @@ and parse_local_decl st hoist : decl list =
 (* Skip a balanced {...} starting at the current LBRACE (used to step over
    a function body that failed to parse). Stops at EOF. *)
 let skip_balanced_braces st =
-  if peek st = Ctoken.LBRACE then begin
+  if at st LBRACE then begin
     ignore (next st);
     let depth = ref 1 in
-    while !depth > 0 && peek st <> Ctoken.EOF do
+    while !depth > 0 && not (at st EOF) do
       (match peek st with
       | Ctoken.LBRACE -> incr depth
       | Ctoken.RBRACE -> decr depth
@@ -969,7 +980,7 @@ let skip_balanced_braces st =
 let parse_global st (hoist : global list ref) : global list =
   let ln = line st in
   let specs = parse_decl_specs st hoist in
-  if peek st = SEMI then begin
+  if at st SEMI then begin
     (* struct/union/enum definition alone *)
     ignore (next st);
     []
@@ -1031,7 +1042,7 @@ let parse_global st (hoist : global list ref) : global list =
     | Some (n, _), _ ->
         let rec go acc name t =
           let init =
-            if peek st = ASSIGN then begin
+            if at st ASSIGN then begin
               ignore (next st);
               Some (parse_init st hoist)
             end
@@ -1070,10 +1081,10 @@ let parse_global st (hoist : global list ref) : global list =
     {!Clexer.Lex_error} on the first error (the strict entry point; the
     resilient pipeline uses {!parse_program_partial}). *)
 let parse_program (src : string) : program =
-  let toks = Clexer.tokenize src in
-  let st = make_state toks in
+  let tb, _ = Clexer.tokenize_buf ~strict:true src in
+  let st = make_state_tb tb in
   let globals = ref [] in
-  while peek st <> EOF do
+  while not (at st EOF) do
     let hoist = ref [] in
     let gs = parse_global st hoist in
     (* hoisted struct/enum definitions come first *)
@@ -1115,12 +1126,12 @@ let sync st =
         end
         else begin
           ignore (next st);
-          if peek st = Ctoken.SEMI then ignore (next st);
+          if at st SEMI then ignore (next st);
           stop := true
         end
     | Ctoken.SEMI when !depth = 0 ->
         ignore (next st);
-        if starts_type st || peek st = Ctoken.EOF then stop := true
+        if starts_type st || at st EOF then stop := true
     | _ when !depth = 0 && starts_type st -> stop := true
     | _ -> ignore (next st)
   done
@@ -1141,7 +1152,7 @@ type presult = {
 let parse_toplevel st ~max_errors ~count_base : program * bool =
   let globals = ref [] in
   let capped = ref false in
-  while peek st <> EOF && not !capped do
+  while not (at st EOF) && not !capped do
     let hoist = ref [] in
     (match parse_global st hoist with
     | gs -> globals := List.rev_append gs (List.rev_append !hoist !globals)
@@ -1150,7 +1161,7 @@ let parse_toplevel st ~max_errors ~count_base : program * bool =
         (* keep whatever was hoisted before the failure *)
         globals := List.rev_append !hoist !globals;
         sync st);
-    if count_base + st.n_diags >= max_errors && peek st <> EOF then begin
+    if count_base + st.n_diags >= max_errors && not (at st EOF) then begin
       capped := true;
       add_diag st
         (Diag.note ~code:"E0299" (span st)
@@ -1165,8 +1176,8 @@ let parse_toplevel st ~max_errors ~count_base : program * bool =
     partial) program plus the diagnostics encountered, up to
     [max_errors] (default 20; an [E0299] note marks the cutoff). *)
 let parse_program_partial ?(max_errors = 20) (src : string) : presult =
-  let toks, lex_diags = Clexer.tokenize_partial ~max_errors src in
-  let st = make_state ~recover:true toks in
+  let tb, lex_diags = Clexer.tokenize_buf ~max_errors src in
+  let st = make_state_tb ~recover:true tb in
   st.diags <- List.rev lex_diags;
   st.n_diags <- List.length lex_diags;
   let prog, _ = parse_toplevel st ~max_errors ~count_base:0 in

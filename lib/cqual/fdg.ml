@@ -10,11 +10,24 @@
 
 open Cfront
 
+(* The graph on dense vertex ids: a function's id is the position of its
+   name's first definition in program order, and a name defined twice
+   keeps its last body (last definition wins, as in {!Cprog.build}). *)
+type graph = {
+  names : string array;  (** id -> function name *)
+  succ : int array array;
+      (** id -> the other defined functions its body mentions, in name
+          order *)
+  scc_of : int array;  (** id -> index of its SCC in [sccs] *)
+  members : int array array;  (** SCC index -> its member ids *)
+}
+
 type t = {
   sccs : string list list;
       (** reverse topological order: every callee's SCC precedes its
           callers' *)
   edges : (string, string list) Hashtbl.t;
+  graph : graph;
 }
 
 (** Names a function's body mentions (including in local initializers and
@@ -27,68 +40,108 @@ let mentions (f : Cast.fundef) : string list =
   in
   List.sort_uniq String.compare acc
 
-let build (prog : Cprog.t) : t =
-  let funs = Cprog.functions prog in
-  let defined = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace defined f.Cast.f_name ()) funs;
-  let edges = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      let ms =
-        List.filter
-          (fun g -> Hashtbl.mem defined g && g <> f.Cast.f_name)
-          (mentions f)
-      in
-      Hashtbl.replace edges f.Cast.f_name ms)
-    funs;
-  (* Tarjan's strongly connected components. *)
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let stack = ref [] in
+(* Tarjan's strongly connected components over [succ], visiting vertices
+   in id order and successors in array order. Returns the SCCs in
+   emission order (callees first), each listing its members in the order
+   they were pushed. *)
+let tarjan (succ : int array array) : int array list =
+  let n = Array.length succ in
+  let index = Array.make n (-1) in
+  let lowlink = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
   let counter = ref 0 in
   let sccs = ref [] in
   let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+    index.(v) <- !counter;
+    lowlink.(v) <- !counter;
     incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (try Hashtbl.find edges v with Not_found -> []);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      (* pop the SCC *)
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-            stack := rest;
-            Hashtbl.remove on_stack w;
-            if String.equal w v then w :: acc else pop (w :: acc)
-      in
-      sccs := pop [] :: !sccs
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    let ws = succ.(v) in
+    for k = 0 to Array.length ws - 1 do
+      let w = ws.(k) in
+      if index.(w) < 0 then begin
+        strongconnect w;
+        if lowlink.(w) < lowlink.(v) then lowlink.(v) <- lowlink.(w)
+      end
+      else if on_stack.(w) && index.(w) < lowlink.(v) then
+        lowlink.(v) <- index.(w)
+    done;
+    if lowlink.(v) = index.(v) then begin
+      (* pop the SCC: the stack segment from [v] up *)
+      let base = ref (!sp - 1) in
+      while stack.(!base) <> v do
+        decr base
+      done;
+      let scc = Array.sub stack !base (!sp - !base) in
+      Array.iter (fun w -> on_stack.(w) <- false) scc;
+      sp := !base;
+      sccs := scc :: !sccs
     end
   in
-  List.iter
-    (fun f -> if not (Hashtbl.mem index f.Cast.f_name) then strongconnect f.Cast.f_name)
-    funs;
-  (* Tarjan emits each SCC after all SCCs it can reach, i.e. callees first;
-     [!sccs] accumulated by consing is callers-first, so reverse. *)
-  { sccs = List.rev !sccs; edges }
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then strongconnect v
+  done;
+  List.rev !sccs
 
-let scc_count t = List.length t.sccs
+let build (prog : Cprog.t) : t =
+  let funs = Cprog.functions prog in
+  (* number the names densely, first definition first *)
+  let nfuns = List.length funs in
+  let id_of : (string, int) Hashtbl.t = Hashtbl.create (2 * nfuns) in
+  let names = Array.make nfuns "" and body = Array.make nfuns [] in
+  List.iter
+    (fun (f : Cast.fundef) ->
+      let v =
+        match Hashtbl.find_opt id_of f.f_name with
+        | Some v -> v
+        | None ->
+            let v = Hashtbl.length id_of in
+            Hashtbl.add id_of f.f_name v;
+            names.(v) <- f.f_name;
+            v
+      in
+      body.(v) <- f.f_body)
+    funs;
+  let n = Hashtbl.length id_of in
+  let names = Array.sub names 0 n in
+  (* successors: distinct defined functions other than [v] itself, in
+     name order *)
+  let seen = Array.make n (-1) in
+  let succ =
+    Array.init n (fun v ->
+        let mention acc x =
+          match Hashtbl.find_opt id_of x with
+          | Some w when w <> v && seen.(w) <> v ->
+              seen.(w) <- v;
+              w :: acc
+          | _ -> acc
+        in
+        let expr acc e = Cast.fold_expr_vars mention acc e in
+        let ws = Cast.fold_stmts_exprs expr [] body.(v) in
+        let ws = Array.of_list ws in
+        Array.sort (fun a b -> String.compare names.(a) names.(b)) ws;
+        ws)
+  in
+  let members = Array.of_list (tarjan succ) in
+  let scc_of = Array.make n 0 in
+  Array.iteri (fun i scc -> Array.iter (fun v -> scc_of.(v) <- i) scc) members;
+  let names_of ids = Array.fold_right (fun v acc -> names.(v) :: acc) ids [] in
+  let edges = Hashtbl.create (2 * n) in
+  Array.iteri (fun v ws -> Hashtbl.replace edges names.(v) (names_of ws)) succ;
+  {
+    sccs = Array.fold_right (fun scc acc -> names_of scc :: acc) members [];
+    edges;
+    graph = { names; succ; scc_of; members };
+  }
+
+let scc_count t = Array.length t.graph.members
 
 let largest_scc t =
-  List.fold_left (fun m s -> max m (List.length s)) 0 t.sccs
+  Array.fold_left (fun m s -> max m (Array.length s)) 0 t.graph.members
 
 (* Per-SCC dependency structure over the indices of [t.sccs], for
    {!wavefront_width}. An edge [f -> g] means [f] mentions [g], so [f]'s
@@ -96,31 +149,27 @@ let largest_scc t =
    the distinct SCCs that SCC [i] depends on; [dependents.(j)] lists the
    SCCs depending on [j] — the candidates released when [j] completes. *)
 let scc_deps t : int array * int list array =
-  let sccs = Array.of_list t.sccs in
-  let n = Array.length sccs in
-  let scc_of = Hashtbl.create 64 in
-  Array.iteri (fun i scc -> List.iter (fun f -> Hashtbl.replace scc_of f i) scc) sccs;
+  let g = t.graph in
+  let n = Array.length g.members in
   let in_degree = Array.make n 0 in
   let dependents = Array.make n [] in
-  (* dedup (i, j) SCC pairs on a single packed int key: [n] is the SCC
-     count, so [i * n + j] is injective — no tuple allocation, no
-     polymorphic hashing *)
-  let seen = Hashtbl.create 64 in
+  (* [seen.(j) = i] once SCC [i]'s dependency on [j] is counted *)
+  let seen = Array.make n (-1) in
   Array.iteri
     (fun i scc ->
-      List.iter
+      Array.iter
         (fun f ->
-          List.iter
-            (fun g ->
-              match Hashtbl.find_opt scc_of g with
-              | Some j when j <> i && not (Hashtbl.mem seen ((i * n) + j)) ->
-                  Hashtbl.add seen ((i * n) + j) ();
-                  in_degree.(i) <- in_degree.(i) + 1;
-                  dependents.(j) <- i :: dependents.(j)
-              | _ -> ())
-            (try Hashtbl.find t.edges f with Not_found -> []))
+          Array.iter
+            (fun w ->
+              let j = g.scc_of.(w) in
+              if j <> i && seen.(j) <> i then begin
+                seen.(j) <- i;
+                in_degree.(i) <- in_degree.(i) + 1;
+                dependents.(j) <- i :: dependents.(j)
+              end)
+            g.succ.(f))
         scc)
-    sccs;
+    g.members;
   (in_degree, dependents)
 
 (* Maximum number of SCCs simultaneously ready under level-synchronous

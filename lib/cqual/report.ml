@@ -38,7 +38,7 @@ type position = {
 (** Canonical stable address of a position: [unit:line:col@level] when
     the anchor carries column precision, otherwise the structural
     fallback [unit:fun:pN@level] / [unit:fun:ret@level]. Both forms are
-    registered in the {!measure_indexed} index, so clients may query by
+    registered in the {!index_of} index, so clients may query by
     either. *)
 let structural_key (p : position) =
   let w =
@@ -230,15 +230,14 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
 
 let measure ?locate env ifaces = fst (measure_full ?locate env ifaces)
 
-(** Like {!measure}, but also return an index from stable position keys
-    to the live position, verdict and solver variable. Each position is
-    registered under its structural key and (when the anchor has column
-    precision) its canonical [unit:line:col@level] key. Only meaningful
-    against a live store — the index holds solver-variable back-pointers
-    and must not be marshaled. *)
-let measure_indexed ?locate env ifaces :
-    results * (string, position * verdict * Solver.var) Hashtbl.t =
-  let r, classified = measure_full ?locate env ifaces in
+(** An index from stable position keys to the live position, verdict and
+    solver variable of {!measure_full}'s classified positions. Each
+    position is registered under its structural key and (when the anchor
+    has column precision) its canonical [unit:line:col@level] key. Only
+    meaningful against a live store — the index holds solver-variable
+    back-pointers and must not be marshaled. Only the persistent session
+    queries by key; batch runs never build it. *)
+let index_of classified : (string, position * verdict * Solver.var) Hashtbl.t =
   let index = Hashtbl.create 64 in
   List.iter
     (fun (p, v, var) ->
@@ -249,7 +248,12 @@ let measure_indexed ?locate env ifaces :
       let ck = position_key p in
       if ck <> structural_key p then add ck)
     classified;
-  (r, index)
+  index
+
+(** {!measure} plus {!index_of} its positions. *)
+let measure_indexed ?locate env ifaces =
+  let r, classified = measure_full ?locate env ifaces in
+  (r, index_of classified)
 
 let pp_where ppf = function
   | Param (i, name) -> Fmt.pf ppf "param %d (%s)" i name

@@ -188,9 +188,9 @@ let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
           None)
 
 (* analysis + measurement, also returning the live interfaces and the
-   stable-key position index the persistent session queries through *)
-let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
-    mode prog =
+   classified positions the persistent session indexes *)
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode prog
+    =
   let (env, ifaces), t =
     time (fun () ->
         Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget mode
@@ -198,15 +198,15 @@ let analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
-  let (results, index), t2 =
-    time (fun () -> Report.measure_indexed ?locate env ifaces)
+  let (results, classified), t2 =
+    time (fun () -> Report.measure_full ?locate env ifaces)
   in
   (* the report's own cost, minus the final solve it triggers (that time
      is already accounted to solve_s) *)
   let solve_d = (Typequal.Solver.stats st).solve_s -. solve0 in
   Typequal.Solver.note_phase st Typequal.Solver.Report
     (Float.max 0. (t2 -. solve_d));
-  (env, ifaces, results, index, t +. t2)
+  (env, ifaces, results, classified, t +. t2)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis back half: analyze, measure, attach FDG statistics        *)
@@ -225,9 +225,9 @@ type compiled = {
 
 let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
     (co : compiled) =
-  let env, ifaces, results, index, t_analysis =
-    analyze_indexed ?rules ?field_sharing ?simplify ?compact ?budget ?locate
-      mode co.co_prog
+  let env, ifaces, results, classified, t_analysis =
+    analyze ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
+      co.co_prog
   in
   (* the graph the polymorphic analyses scheduled from (built here only
      for mono, which never needed it) *)
@@ -262,7 +262,7 @@ let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
       frontend = co.co_frontend;
     }
   in
-  (run, env, ifaces, index)
+  (run, env, ifaces, classified)
 
 let run_of_cached (cr : cached_run) ~t_lookup : run =
   {
@@ -402,6 +402,27 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
         cell := !cell +. dt;
         Mutex.unlock tmu
       in
+      (* token buffers whose unit is parsed, for the next scans to
+         overwrite: at most one per domain, so a project allocates token
+         storage a few times instead of once per unit *)
+      let spare = ref [] in
+      let take_spare () =
+        Mutex.lock tmu;
+        let tb =
+          match !spare with
+          | tb :: rest ->
+              spare := rest;
+              Some tb
+          | [] -> None
+        in
+        Mutex.unlock tmu;
+        tb
+      in
+      let give_spare tb =
+        Mutex.lock tmu;
+        spare := tb :: !spare;
+        Mutex.unlock tmu
+      in
       (* never more domains than units: a single file parses inline *)
       Typequal.Pool.with_pool ~jobs:(max 1 (min jobs n)) (fun pool ->
           Array.iteri
@@ -411,9 +432,11 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
                     match probed.(i) with
                     | Some res -> res
                     | None ->
+                        let reuse = take_spare () in
                         let (tb, lex_diags), t_lex =
                           time (fun () ->
-                              Cfront.Clexer.tokenize_buf ~max_errors:me src)
+                              Cfront.Clexer.tokenize_buf ~max_errors:me ?reuse
+                                src)
                         in
                         add lex_s t_lex;
                         let res, t_parse =
@@ -422,6 +445,7 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
                                 ~lex_diags)
                         in
                         add parse_s t_parse;
+                        give_spare tb;
                         res
                   in
                   let prog, t_build =
@@ -687,7 +711,7 @@ type row = {
 let table2_row ~name (src : string) : row =
   let prog, t_compile = time (fun () -> compile src) in
   let analyze mode =
-    let _, _, results, _, t = analyze_indexed mode prog in
+    let _, _, results, _, t = analyze mode prog in
     (results, t)
   in
   let mono_results, mono_s = analyze Analysis.Mono in
@@ -817,12 +841,19 @@ let ensure_mode t mode : mode_state =
   | Some ms -> ms
   | None ->
       let co, tbl = ensure_compiled t in
-      let run, env, ifaces, index =
+      let run, env, ifaces, classified =
         finish ~rules:t.s_rules ?field_sharing:t.s_field_sharing
           ?simplify:t.s_simplify ?compact:t.s_compact
           ~locate:(locate_of_tbl tbl) mode co
       in
-      let ms = { ms_run = run; ms_env = env; ms_ifaces = ifaces; ms_index = index } in
+      let ms =
+        {
+          ms_run = run;
+          ms_env = env;
+          ms_ifaces = ifaces;
+          ms_index = Report.index_of classified;
+        }
+      in
       Hashtbl.replace t.s_modes key ms;
       ms
 

@@ -397,60 +397,134 @@ let extra_tests =
       test_forward_struct_ref;
   ]
 
-(* ---------------- flat token buffer vs legacy list lexer ------------- *)
+(* ---------------- scanner vs the ocamllex reference model ------------ *)
 
-(* tokenize_buf is the per-unit frontend's allocation-lean lexer; it must
-   agree with tokenize_partial token-for-token, span-for-span, and
-   diagnostic-for-diagnostic — on clean sources and on every recovery
-   path (bad characters, unterminated constructs, the error cap) *)
-let check_tokbuf_parity label ?max_errors src =
-  let toks_l, diags_l = Clexer.tokenize_partial ?max_errors src in
-  let tb, diags_b = Clexer.tokenize_buf ?max_errors src in
-  Alcotest.(check int)
-    (label ^ ": token count")
-    (List.length toks_l) (Tokbuf.length tb);
-  List.iteri
-    (fun i (tk, sp) ->
-      if Tokbuf.tok tb i <> tk then
-        Alcotest.failf "%s: token %d differs" label i;
-      if Tokbuf.span tb i <> sp then
-        Alcotest.failf "%s: span %d differs (%d:%d-%d:%d vs %d:%d-%d:%d)"
-          label i sp.Diag.sl sp.Diag.sc sp.Diag.el sp.Diag.ec
-          (Tokbuf.span tb i).Diag.sl (Tokbuf.span tb i).Diag.sc
-          (Tokbuf.span tb i).Diag.el (Tokbuf.span tb i).Diag.ec)
-    toks_l;
-  Alcotest.(check (list string))
-    (label ^ ": diagnostics")
-    (List.map Diag.to_string diags_l)
-    (List.map Diag.to_string diags_b)
+(* Cfront.Clexer is a hand-written scanner; test/clexer_ref.mll states the
+   same token grammar as an ocamllex spec. The two must agree token for
+   token, span for span and diagnostic for diagnostic, in the strict and
+   the recovering entry points, on clean sources and on every recovery
+   path (bad characters, unterminated constructs, out-of-range
+   literals, the error cap). *)
 
-let test_tokbuf_parity () =
+let pp_tok (t, (sp : Diag.span)) =
+  Printf.sprintf "%s@%d:%d-%d:%d" (Ctoken.to_string t) sp.Diag.sl sp.Diag.sc
+    sp.Diag.el sp.Diag.ec
+
+let strict_outcome lex src =
+  match lex src with
+  | toks -> Ok (List.map pp_tok toks)
+  | exception (Clexer.Lex_error d | Clexer_ref.Lex_error d) ->
+      Error (Diag.to_string d)
+
+(* a spent buffer with room to spare, for the [reuse] path *)
+let spent () =
+  fst (Clexer.tokenize_buf (String.concat "" (List.init 400 (fun _ -> "a+b; "))))
+
+(* [None] when the scanner agrees with the model, else what differs *)
+let scanner_mismatch ?max_errors src =
+  let toks, diags = Clexer.tokenize_partial ?max_errors src in
+  let rtoks, rdiags = Clexer_ref.tokenize_partial ?max_errors src in
+  let tb, bdiags = Clexer.tokenize_buf ?max_errors ~reuse:(spent ()) src in
+  let show toks diags =
+    String.concat " " (List.map pp_tok toks)
+    ^ " | "
+    ^ String.concat "; " (List.map Diag.to_string diags)
+  in
+  let got = show toks diags and want = show rtoks rdiags in
+  let strict = strict_outcome Clexer.tokenize src
+  and rstrict = strict_outcome Clexer_ref.tokenize src in
+  if got <> want then Some (Printf.sprintf "partial:\n  got  %s\n  want %s" got want)
+  else if show (Tokbuf.to_list tb) bdiags <> want then Some "reused buffer differs"
+  else if strict <> rstrict then Some "strict tokenize differs"
+  else None
+
+let check_scanner label ?max_errors src =
+  match scanner_mismatch ?max_errors src with
+  | None -> ()
+  | Some m -> Alcotest.failf "%s: %s\nsource: %S" label m src
+
+let test_scanner_corpora () =
+  List.iter (fun (name, src) -> check_scanner name src) Cbench.Programs.all;
   List.iter
-    (fun (name, src) -> check_tokbuf_parity name src)
-    Cbench.Programs.all;
-  List.iter
-    (fun (name, src) -> check_tokbuf_parity ("mini/" ^ name) src)
+    (fun (name, src) -> check_scanner ("mini/" ^ name) src)
     Cbench.Programs.miniproject;
   List.iter
     (fun seed ->
-      check_tokbuf_parity
+      check_scanner
         (Printf.sprintf "gen seed %d" seed)
         (Cbench.Gen.generate ~seed ~target_lines:500 ()))
-    [ 41; 42 ]
-
-let test_tokbuf_parity_on_errors () =
+    [ 41; 42 ];
   List.iter
-    (fun (label, src) -> check_tokbuf_parity label src)
+    (fun (label, src) -> check_scanner label src)
     [
       ("stray chars", "int a;\n@\nint b;\n`\nint c;\n");
       ("unterminated string", "int a;\nchar *s = \"oops;\nint b;\n");
       ("unterminated comment", "int a;\n/* never closed\nint b;\n");
       ("string with escapes", "char *s = \"a\\t\\\"b\\n\";\nint x;\n");
+      ("overflow", "int x = 99999999999999999999;\nint y = 0x1ffffffffffffffff;\n");
     ];
-  (* the lex-error cap: both lexers must stop at the same point *)
   let flood = String.concat "" (List.init 40 (fun _ -> "@\n")) in
-  check_tokbuf_parity "error cap" ~max_errors:5 flood;
-  check_tokbuf_parity "error cap default" flood
+  check_scanner "error cap" ~max_errors:5 flood;
+  check_scanner "error cap default" flood
+
+(* strings over a C-ish alphabet that stresses every longest-match
+   decision and recovery path *)
+let scanner_input_gen =
+  let open QCheck2.Gen in
+  let piece =
+    oneofl
+      [
+        "0x"; "0"; "7"; "8"; "9"; "1"; "x"; "f"; "e"; "E"; "u"; "L"; "."; "+";
+        "-"; "$"; "'"; "\""; "\\"; "\n"; "\r"; "\t"; " "; "\000"; "\x80"; "/";
+        "*"; "#"; "<"; ">"; "="; "&"; "|"; "_"; "a"; "int"; "const"; "ab";
+        "99999999999999999999"; "0x7fffffffffffffff"; "0x8000000000000000";
+        "0777777777777777777777"; "01000000000000000000000"; "4611686018427387904";
+        ";"; "("; "{"; "}"; "@";
+      ]
+  in
+  pair (int_range 1 5) (map (String.concat "") (list_size (int_range 0 40) piece))
+
+let prop_scanner_model =
+  QCheck2.Test.make ~count:2000
+    ~name:"scanner = ocamllex model (random C-ish strings)"
+    ~print:(fun (m, s) -> Printf.sprintf "max_errors %d, %S" m s)
+    scanner_input_gen
+    (fun (max_errors, src) ->
+      match scanner_mismatch ~max_errors src with
+      | None -> true
+      | Some m -> QCheck2.Test.fail_report m)
+
+(* the longest-match and line-counting decisions, pinned by example *)
+let test_scanner_edges () =
+  let ints src =
+    List.filter_map
+      (function Ctoken.INT_LIT n, _ -> Some n | _ -> None)
+      (Clexer.tokenize src)
+  in
+  Alcotest.(check (list int)) "0755 is octal" [ 493 ] (ints "0755");
+  Alcotest.(check (list int)) "0758 is decimal" [ 758 ] (ints "0758");
+  Alcotest.(check (list int)) "0755u is decimal" [ 755 ] (ints "0755u");
+  Alcotest.(check (list string))
+    "bare 0x" [ "0"; "x"; "<eof>" ]
+    (List.map (fun (t, _) -> Ctoken.to_string t) (Clexer.tokenize "0x"));
+  let line_after src =
+    (* the line of the token after the literal *)
+    match List.rev (Clexer.tokenize src) with
+    | _eof :: (_, sp) :: _ -> sp.Diag.sl
+    | _ -> Alcotest.fail "too few tokens"
+  in
+  Alcotest.(check int) "raw newline in a char literal" 1 (line_after "'\n' x");
+  Alcotest.(check int) "newline after a backslash in a string" 1
+    (line_after "\"a\\\nb\" x");
+  Alcotest.(check int) "raw newline in a string" 2 (line_after "\"a\nb\" x");
+  (match Clexer.tokenize_partial "int x = 99999999999999999999;" with
+  | toks, [ d ] ->
+      Alcotest.(check string)
+        "E0104" "error[E0104] 1:9-28: integer literal out of range"
+        (Diag.to_string d);
+      Alcotest.(check bool) "saturated literal kept" true
+        (List.mem (Ctoken.INT_LIT max_int) (List.map fst toks))
+  | _ -> Alcotest.fail "expected one E0104")
 
 let test_tokbuf_interns () =
   let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz;\n" in
@@ -464,10 +538,10 @@ let test_tokbuf_interns () =
 
 let tokbuf_tests =
   [
-    Alcotest.test_case "tokenize_buf = tokenize_partial (clean)" `Quick
-      test_tokbuf_parity;
-    Alcotest.test_case "tokenize_buf = tokenize_partial (errors)" `Quick
-      test_tokbuf_parity_on_errors;
+    Alcotest.test_case "scanner = ocamllex model (corpora)" `Quick
+      test_scanner_corpora;
+    QCheck_alcotest.to_alcotest prop_scanner_model;
+    Alcotest.test_case "scanner longest-match edges" `Quick test_scanner_edges;
     Alcotest.test_case "token buffer intern table" `Quick test_tokbuf_interns;
   ]
 

@@ -348,6 +348,91 @@ let test_fdg_function_pointer_mention () =
       Alcotest.failf "unexpected sccs: %a"
         Fmt.(list (list string)) sccs
 
+(* A string-keyed model of Fdg.build: Tarjan over name-keyed tables,
+   visiting functions in program order and each body's mentions in name
+   order, with the last definition of a name supplying its edges. *)
+let model_fdg (prog : Cfront.Cprog.t) :
+    string list list * (string * string list) list =
+  let funs = Cfront.Cprog.functions prog in
+  let edges = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Cfront.Cast.fundef) ->
+      Hashtbl.replace edges f.f_name
+        (List.filter
+           (fun g ->
+             g <> f.f_name
+             && List.exists (fun (h : Cfront.Cast.fundef) -> h.f_name = g) funs)
+           (Fdg.mentions f)))
+    funs;
+  let index = Hashtbl.create 64 and lowlink = Hashtbl.create 64 in
+  let stack = ref [] and counter = ref 0 and sccs = ref [] in
+  let rec visit v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace lowlink v !counter;
+    incr counter;
+    stack := v :: !stack;
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          visit w;
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+        end
+        else if List.mem w !stack then
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+      (Hashtbl.find edges v);
+    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+            stack := rest;
+            if w = v then w :: acc else pop (w :: acc)
+        | [] -> acc
+      in
+      sccs := pop [] :: !sccs
+    end
+  in
+  List.iter
+    (fun (f : Cfront.Cast.fundef) ->
+      if not (Hashtbl.mem index f.f_name) then visit f.f_name)
+    funs;
+  ( List.rev !sccs,
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) edges []) )
+
+let test_fdg_model () =
+  let check label prog =
+    let fdg = Fdg.build prog in
+    let sccs, edges = model_fdg prog in
+    Alcotest.(check (list (list string))) (label ^ ": sccs") sccs fdg.Fdg.sccs;
+    Alcotest.(check (list (pair string (list string))))
+      (label ^ ": edges") edges
+      (List.sort compare
+         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fdg.Fdg.edges []));
+    Alcotest.(check int) (label ^ ": count") (List.length sccs) (Fdg.scc_count fdg)
+  in
+  List.iter
+    (fun seed ->
+      let co =
+        Session.compile_sources
+          (Cbench.Gen.generate_project ~seed ~target_lines:3000 ())
+      in
+      check (Printf.sprintf "project %d" seed) co.Session.co_prog;
+      (* two programs from one generator share function names: the
+         second definitions must win *)
+      let twice =
+        Cbench.Gen.generate ~seed ~target_lines:400 ()
+        ^ Cbench.Gen.generate ~seed:(seed + 1) ~target_lines:400 ()
+      in
+      check (Printf.sprintf "duplicates %d" seed) (Session.compile twice))
+    [ 3; 4; 5 ];
+  check "redefined callee"
+    (Session.compile
+       "int a(void) { return b(); }\n\
+        int b(void) { return 0; }\n\
+        int c(void) { return a(); }\n\
+        int b(void) { return c(); }\n")
+
 (* ---------------- misc robustness ---------------- *)
 
 let test_function_pointer_call () =
@@ -442,6 +527,7 @@ let tests =
     Alcotest.test_case "FDG SCCs (Definition 4)" `Quick test_fdg_scc;
     Alcotest.test_case "FDG counts function-pointer mentions" `Quick
       test_fdg_function_pointer_mention;
+    Alcotest.test_case "FDG = string-keyed Tarjan model" `Quick test_fdg_model;
     Alcotest.test_case "call through function pointer" `Quick
       test_function_pointer_call;
     Alcotest.test_case "global initializer flow" `Quick test_global_init_flow;

@@ -367,10 +367,49 @@ let test_oversubscription () =
   Alcotest.(check (option int)) "jobs=cores fits" None
     (Session.oversubscription ~jobs:cores)
 
+(* ---------------- domains share no scanner state ---------------- *)
+
+(* Units dense in constructs whose spans start before their last lexeme
+   (multi-line strings and comments) and in lexical errors, including
+   unterminated constructs: lexed on 4 domains at once, every span and
+   diagnostic must match the serial frontend's. *)
+let test_jobs_scanner_isolation () =
+  let unit_src i =
+    let b = Buffer.create 4096 in
+    for k = 1 to 60 do
+      Printf.bprintf b
+        "/* unit %d block %d\n   spans\n   lines */\n\
+         char *s%d_%d = \"multi\nline \\\"%d\\\"\n\
+         string\";\n\
+         int f%d_%d(const char *p) { /* inner\n */ return *p + '\\n'; }\n\
+         int big%d_%d = 99999999999999999999;\n@\n"
+        i k i k k i k i k
+    done;
+    (match i mod 3 with
+    | 0 -> Buffer.add_string b "char *open = \"never\nclosed;\n"
+    | 1 -> Buffer.add_string b "/* never\nclosed\n"
+    | _ -> ());
+    (Printf.sprintf "u%02d.c" i, Buffer.contents b)
+  in
+  let files = List.init 12 unit_src in
+  let fingerprint (co : Session.compiled) =
+    ( List.map Diag.to_string co.Session.co_diags,
+      Marshal.to_string co.Session.co_prog.Cfront.Cprog.order [] )
+  in
+  let compile jobs =
+    fingerprint (Session.compile_sources ~jobs ~max_errors:10_000 files)
+  in
+  let d1, p1 = compile 1 and d4, p4 = compile 4 in
+  Alcotest.(check bool) "diagnostics present" true (List.length d1 > 12 * 60);
+  Alcotest.(check (list string)) "diagnostics" d1 d4;
+  Alcotest.(check bool) "programs" true (String.equal p1 p4)
+
 let tests =
   [
     Alcotest.test_case "parity on generated projects" `Quick
       test_parity_generated;
+    Alcotest.test_case "jobs 4 = jobs 1 on string/comment-heavy units" `Quick
+      test_jobs_scanner_isolation;
     Alcotest.test_case "unit-boundary diagnostic positions" `Quick
       test_unit_boundary_positions;
     Alcotest.test_case "typedef threading forces reparse" `Quick

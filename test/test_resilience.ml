@@ -134,6 +134,44 @@ let test_unterminated_string () =
     (List.exists (fun d -> d.Diag.d_code = "E0102") r.Session.diagnostics);
   check_analyzed r "f"
 
+(* an integer literal past max_int, in each base: one E0104 each on the
+   literal's span, and the report still comes out *)
+let overflow_src =
+  "int big = 99999999999999999999;\n\
+   int hex = 0x1ffffffffffffffffff;\n\
+   int oct = 07777777777777777777777777;\n\
+   int f(int *p) { return *p + big; }\n"
+
+let test_int_overflow () =
+  let r =
+    Session.run_sources ~mode:Analysis.Mono [ ("<input>", overflow_src) ]
+  in
+  Alcotest.(check (list string))
+    "one E0104 per literal"
+    [
+      "error[E0104] 1:11-30: integer literal out of range";
+      "error[E0104] 2:11-31: integer literal out of range";
+      "error[E0104] 3:11-36: integer literal out of range";
+    ]
+    (List.map Diag.to_string r.Session.diagnostics);
+  check_analyzed r "f";
+  let text = Session.render_run ~name:"<input>" Analysis.Mono r in
+  Alcotest.(check bool) "report printed" true
+    (contains ~sub:"interesting const positions: 1 total" text)
+
+(* the daemon's update path: a session fed the literal keeps answering *)
+let test_int_overflow_session () =
+  let t = Session.create [ ("a.c", "int g(int *q) { return *q; }\n") ] in
+  ignore (Session.run t : Session.run);
+  ignore (Session.update_unit t "a.c" overflow_src);
+  let r = Session.run t in
+  Alcotest.(check int) "diagnostics" 3 (List.length r.Session.diagnostics);
+  check_analyzed r "f";
+  ignore (Session.update_unit t "a.c" "int g(int *q) { return *q; }\n");
+  let r = Session.run t in
+  Alcotest.(check int) "clean again" 0 (List.length r.Session.diagnostics);
+  check_analyzed r "g"
+
 let test_max_errors_cap () =
   let src =
     String.concat "" (List.init 10 (fun _ -> "int = 1;\n"))
@@ -536,6 +574,10 @@ let tests =
     Alcotest.test_case "recovery: --max-errors cap" `Quick test_max_errors_cap;
     Alcotest.test_case "recovery: --max-errors below 1 rejected" `Quick
       test_max_errors_below_one;
+    Alcotest.test_case "recovery: out-of-range integer literal" `Quick
+      test_int_overflow;
+    Alcotest.test_case "recovery: out-of-range literal in a session" `Quick
+      test_int_overflow_session;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
     Alcotest.test_case "budget: worklist pops" `Quick test_budget_pops;
