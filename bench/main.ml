@@ -45,9 +45,8 @@
                TYPEQUAL_SCALE_LINES overrides the line target.
      frontend— per-unit parse+link on the million-line corpus: compile
                wall time and peak heap, the scanner's MB/s and token
-               count, serial and at jobs 4, zero link
-               reparses, byte-identical reports at jobs 1/4, and the
-               per-unit AST cache re-parsing exactly the dirty unit;
+               count, zero link reparses, and the per-unit AST cache
+               re-parsing exactly the dirty unit;
                writes BENCH_frontend.json. Only runs when named
                explicitly (or under "all").
                TYPEQUAL_FRONTEND_LINES overrides the line target.
@@ -167,7 +166,7 @@ let jenv () =
     [
       ("heap_words", ji g.Gc.heap_words);
       ("top_heap_words", ji g.Gc.top_heap_words);
-      ("cores_available", ji (Typequal.Pool.cores_available ()));
+      ("cores_available", ji (Domain.recommended_domain_count ()));
       ("cache_used", jb !cache_used);
       ("gc_profile", Jstr !gc_profile);
     ]
@@ -1594,10 +1593,9 @@ let cache_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Frontend: per-unit parse+link — compile-phase wall time and peak    *)
-(* heap on the million-line corpus, serial and at jobs 4, byte-        *)
-(* identical reports at jobs 1/4, zero link reparses on the generated  *)
-(* corpus, and the per-unit AST cache re-parsing exactly the dirty     *)
-(* unit; writes BENCH_frontend.json.                                   *)
+(* heap on the million-line corpus, zero link reparses on the          *)
+(* generated corpus, and the per-unit AST cache re-parsing exactly the *)
+(* dirty unit; writes BENCH_frontend.json.                             *)
 (* TYPEQUAL_FRONTEND_LINES overrides the line target.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1659,27 +1657,16 @@ let frontend_bench () =
     "scanner: %d bytes, %d tokens, %.3fs alone (%.1f MB/s), %.1f MB/s in \
      the pipeline@."
     bytes tokens t_lex (mb_s t_lex) (mb_s fs.Session.fs_lex_s);
-  let co_pu4 = Session.compile_sources ~jobs:4 files in
-  let t_pu4 = co_pu4.Session.co_t_compile in
-  Fmt.pr "per-unit at jobs 4: %.3fs (%.2fx vs serial per-unit)@.@." t_pu4
-    (t_pu /. t_pu4);
   check "no link reparses on the generated corpus"
     (fs.Session.fs_reparsed = 0)
     (Printf.sprintf " (%d)" fs.Session.fs_reparsed);
 
-  (* ---- parity: full runs, serial and jobs 4 ---- *)
   (* the scale digest plus rendered diagnostics: everything a user sees *)
   let fdigest (r : Session.run) =
     scale_digest r.Session.results r.Session.solver_stats
     ^ String.concat "\n"
         (List.map Cfront.Diag.to_string r.Session.diagnostics)
   in
-  let run jobs =
-    fdigest (Session.run_sources ~jobs ~mode:Analysis.Mono files)
-  in
-  let d_pu1 = run 1 in
-  let d_pu4 = run 4 in
-  check "report+diags byte-identical across jobs" (d_pu1 = d_pu4) "";
 
   (* ---- per-unit AST cache: editing one file re-parses only that file ---- *)
   let bs = List.hd Cbench.Suite.scale_smoke in
@@ -1769,8 +1756,6 @@ let frontend_bench () =
                ("alone_mb_per_s", jf (mb_s t_lex));
                ("pipeline_mb_per_s", jf (mb_s fs.Session.fs_lex_s));
              ] );
-         ("per_unit_jobs4_t_compile_s", jf t_pu4);
-         ("reports_identical", jb (d_pu1 = d_pu4));
          ( "dirty_unit",
            Jobj
              [

@@ -93,18 +93,17 @@ let flow_source = function
 
 (* a thin Session client: the batch entry point feeds the run to the
    session's renderer, which produces the whole stdout block *)
-let run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors ~compact
-    ~cache ~print_diags mode name files =
+let run_one ~rules ~positions ~stats ~budget ~max_errors ~compact ~cache
+    ~print_diags mode name files =
   let budget = budget_of_spec budget in
   let r =
-    Session.run_sources ~mode ~rules ?budget ~compact ~jobs ~max_errors ?cache
-      files
+    Session.run_sources ~mode ~rules ?budget ~compact ~max_errors ?cache files
   in
   (* diagnostics are a property of the source, not the mode: print them
      once even when both modes run *)
   if print_diags then
     List.iter (fun d -> Fmt.epr "%a@." Cfront.Diag.pp d) r.Session.diagnostics;
-  Fmt.pr "%s" (Session.render_run ~stats ~positions ~jobs ~name mode r);
+  Fmt.pr "%s" (Session.render_run ~stats ~positions ~name mode r);
   r
 
 let run_flow name src insensitive =
@@ -160,18 +159,13 @@ let rules_of_lattice_file path qual_override =
         Fmt.epr "%s@." m;
         exit 2)
 
-let main files bench mode positions taint flow insensitive stats budget jobs
-    max_errors no_compact lattice qual dump_lattice cache_dir gc =
+let main files bench mode positions taint flow insensitive stats budget
+    (_jobs : int) max_errors no_compact lattice qual dump_lattice cache_dir gc =
   (match Typequal.Gctune.setup ?flag:gc () with
   | Ok _ -> ()
   | Error m ->
       Fmt.epr "error: %s@." m;
       exit 2);
-  (* the advisory is a structured Notice diagnostic (code N0901); the CLI
-     renders just its message under the historical "warning: " prefix *)
-  (match Session.oversubscription_notice ~jobs with
-  | Some d -> Fmt.epr "warning: %s@." d.Cfront.Diag.d_message
-  | None -> ());
   let rules =
     match lattice with
     | Some path -> rules_of_lattice_file path qual
@@ -244,7 +238,7 @@ let main files bench mode positions taint flow insensitive stats budget jobs
             ~rules ~opts_id dir
     in
     let run_one =
-      run_one ~rules ~positions ~stats ~budget ~jobs ~max_errors
+      run_one ~rules ~positions ~stats ~budget ~max_errors
         ~compact:(not no_compact) ~cache
     in
     match
@@ -371,13 +365,11 @@ let budget =
 let jobs =
   Arg.(
     value
-    & opt int (Typequal.Pool.default_jobs ())
+    & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Frontend parse domains: with $(docv) > 1, the translation units \
-           of a multi-file project are lexed and parsed in parallel. The \
-           analysis itself is serial, and results are identical to \
-           $(docv) = 1. Defaults to \\$TYPEQUAL_JOBS or 1.")
+          "Accepted and ignored: every run is serial. Kept so existing \
+           scripts that pass it keep working.")
 
 let max_errors =
   let at_least_one =

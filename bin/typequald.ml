@@ -14,9 +14,8 @@
    stats}, stats, shutdown. Position keys are unit:line:col@level or
    unit:fun:pN@level / unit:fun:ret@level (see DESIGN.md).
 
-   whatif requests arriving together in one read are prepared serially
-   and evaluated as a batch on the domain pool (--jobs), each on its own
-   private clone of the warm store.
+   Requests are answered one at a time, in arrival order, on the event
+   loop; a whatif solves its own private clone of the warm store.
 
    --client PATH turns the binary into a line pump for CI: stdin lines
    go to the socket, response lines to stdout. *)
@@ -114,15 +113,11 @@ let json_of_whatif (w : Session.whatif_result) : Wire.json =
       ("errors_after", Wire.num_int w.Session.w_errors_after);
     ]
 
-(* What one parsed request becomes before evaluation: an immediate
-   answer, a pooled what-if thunk, or a shutdown. *)
-type prepared =
-  | Ready of Wire.json
-  | Failed of string
-  | Pooled of (unit -> Session.whatif_result)
-  | Quit
+(* What one parsed request evaluates to: an answer, an error, or a
+   shutdown. *)
+type prepared = Ready of Wire.json | Failed of string | Quit
 
-let prepare (session : Session.t) ~jobs (rq : Wire.request) : prepared =
+let prepare (session : Session.t) (rq : Wire.request) : prepared =
   let params = rq.Wire.rq_params in
   let with_mode k =
     match mode_of_params params with
@@ -205,17 +200,12 @@ let prepare (session : Session.t) ~jobs (rq : Wire.request) : prepared =
             (Wire.mem_string "key" params, Wire.mem_string "qual" params)
           with
           | Some key, Some qual -> (
-              match Session.whatif_task ?mode session ~qual key with
+              match Session.whatif ?mode session ~qual key with
               | Error m -> Failed m
-              | Ok thunk -> Pooled thunk)
+              | Ok w -> Ready (json_of_whatif w))
           | _ -> Failed "whatif wants {key, qual}")
   | "diagnostics" ->
       let ds = Session.diagnostics session in
-      let ds =
-        match Session.oversubscription_notice ~jobs with
-        | Some d -> ds @ [ d ]
-        | None -> ds
-      in
       Ready
         (Wire.Obj [ ("diagnostics", Wire.Arr (List.map json_of_diag ds)) ])
   | "render" ->
@@ -285,65 +275,33 @@ let take_lines (c : client) : string list =
         (String.sub s (last + 1) (String.length s - last - 1));
       String.split_on_char '\n' (String.sub s 0 last)
 
-(* Evaluate one select-round's worth of requests. The serial prepare
-   step runs on the event loop (it owns the session); what-if thunks —
-   the only store-heavy query — are fanned out on the domain pool and
-   joined before responses are written, in arrival order per client. *)
-let process session ~jobs (batch : (client * Wire.request) list) : bool =
-  let prepared =
-    List.map
-      (fun (c, rq) ->
-        let p =
-          try prepare session ~jobs rq with
-          | Session.Error m -> Failed m
-          | Cfront.Cprog.Frontend_error m -> Failed ("frontend: " ^ m)
-        in
-        (c, rq, p))
-      batch
-  in
-  let thunks =
-    List.filter_map
-      (function _, _, Pooled f -> Some f | _ -> None)
-      prepared
-  in
-  let results : (unit -> Session.whatif_result, Session.whatif_result) Hashtbl.t
-      =
-    Hashtbl.create 8
-  in
-  (match thunks with
-  | [] -> ()
-  | [ f ] -> Hashtbl.replace results f (f ())
-  | fs ->
-      Typequal.Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun f ->
-              Typequal.Pool.submit pool (fun () ->
-                  let r = f () in
-                  Hashtbl.replace results f r))
-            fs;
-          Typequal.Pool.wait pool));
+(* Answer one select-round's worth of requests in arrival order, each
+   written as soon as it is evaluated. Returns whether a shutdown was
+   among them. *)
+let process session (batch : (client * Wire.request) list) : bool =
   let quit = ref false in
   List.iter
-    (fun (c, rq, p) ->
+    (fun (c, rq) ->
       let id = rq.Wire.rq_id in
       let line =
-        match p with
+        match prepare session rq with
         | Ready j -> Wire.response_ok ~id j
         | Failed m -> Wire.response_error ~id m
-        | Pooled f ->
-            Wire.response_ok ~id (json_of_whatif (Hashtbl.find results f))
         | Quit ->
             quit := true;
             Wire.response_ok ~id (Wire.Obj [ ("ok", Wire.Bool true) ])
+        | exception Session.Error m -> Wire.response_error ~id m
+        | exception Cfront.Cprog.Frontend_error m ->
+            Wire.response_error ~id ("frontend: " ^ m)
       in
       if not c.dead then
         try write_all c.fd (line ^ "\n")
         with U.Unix_error ((U.EPIPE | U.ECONNRESET | U.EBADF), _, _) ->
           c.dead <- true)
-    prepared;
+    batch;
   !quit
 
-let serve session ~jobs ~(listen : U.file_descr option)
+let serve session ~(listen : U.file_descr option)
     ~(stdio : (U.file_descr * U.file_descr) option) =
   (ignore : Sys.signal_behavior -> unit)
     (Sys.signal Sys.sigpipe Sys.Signal_ignore);
@@ -413,7 +371,7 @@ let serve session ~jobs ~(listen : U.file_descr option)
       let batch =
         List.rev_map (fun (c, rq) -> ({ c with fd = out_fd_of c }, rq)) !batch
       in
-      if batch <> [] && process session ~jobs batch then running := false;
+      if batch <> [] && process session batch then running := false;
       (* reap dead clients *)
       List.iter
         (fun c ->
@@ -505,15 +463,12 @@ let load_units files bench =
                   exit 2)))
   | [], None -> []
 
-let main files bench mode jobs max_errors no_compact taint lattice qual
-    cache_dir socket client =
+let main files bench mode (_jobs : int) max_errors no_compact taint lattice
+    qual cache_dir socket client =
   match client with
   | Some path -> run_client path
   | None -> (
       let rules = rules_of ~taint ~lattice ~qual in
-      (match Session.oversubscription_notice ~jobs with
-      | Some d -> Fmt.epr "%a@." Cfront.Diag.pp d
-      | None -> ());
       let cache =
         match cache_dir with
         | None -> None
@@ -536,11 +491,11 @@ let main files bench mode jobs max_errors no_compact taint lattice qual
       let units = load_units files bench in
       let session =
         Session.create ~rules ~mode ~max_errors ~compact:(not no_compact)
-          ~jobs ?cache units
+          ?cache units
       in
       match socket with
       | None ->
-          serve session ~jobs ~listen:None
+          serve session ~listen:None
             ~stdio:(Some (U.stdin, U.stdout));
           0
       | Some path ->
@@ -557,7 +512,7 @@ let main files bench mode jobs max_errors no_compact taint lattice qual
             ~finally:(fun () ->
               (try U.close l with _ -> ());
               try U.unlink path with U.Unix_error _ -> ())
-            (fun () -> serve session ~jobs ~listen:(Some l) ~stdio:None);
+            (fun () -> serve session ~listen:(Some l) ~stdio:None);
           0)
 
 open Cmdliner
@@ -592,11 +547,11 @@ let mode =
 let jobs =
   Arg.(
     value
-    & opt int (Typequal.Pool.default_jobs ())
+    & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for the per-unit parse and for what-if batches; \
-           the analysis itself is serial. Defaults to \\$TYPEQUAL_JOBS or 1.")
+          "Accepted and ignored: the daemon is serial. Kept so existing \
+           scripts that pass it keep working.")
 
 let max_errors =
   let at_least_one =

@@ -17,7 +17,7 @@
     What held up: [space_overhead = 200] (fewer major slices, neutral
     peak heap because the arena dominates it anyway) and a modest
     4x-default nursery of 1 Mword, which cuts minor-collection count
-    for worker domains at [jobs > 1] while staying cache-resident.
+    while staying cache-resident.
 
     Selection: an explicit [--gc] CLI flag wins; otherwise the
     [TYPEQUAL_GC] environment variable; otherwise [Off] (don't touch the

@@ -15,19 +15,19 @@
 
     Every C input goes through the {e per-unit frontend}, a single file
     being a project of one unit: each translation unit is lexed and
-    parsed independently (in parallel under [--jobs]), then a
-    deterministic serial link step merges the unit programs and threads
-    the cross-unit parser environment. See DESIGN.md "Per-unit frontend"
-    and "Session architecture". *)
+    parsed independently, then a deterministic link step merges the unit
+    programs and threads the cross-unit parser environment. The whole
+    pipeline runs on one domain. See DESIGN.md "Per-unit frontend" and
+    "Session architecture". *)
 
 type timing = {
   t_compile : float;  (** parse + table construction, seconds *)
   t_analysis : float;  (** constraint generation + solving *)
 }
 
-(** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
-    times are summed across worker domains (like the solver's per-phase
-    timers), so they can exceed the compile wall clock. *)
+(** Frontend phase breakdown. The phases run one after another on one
+    domain, so each time is a wall time and their sum is at most the
+    compile wall clock. *)
 type frontend_stats = {
   fs_units : int;
   fs_reparsed : int;
@@ -78,29 +78,6 @@ let compile src =
   | Error m -> raise (Error m)
   | Ok p -> Cfront.Cprog.build p
 
-(** [Some cores] when [jobs] asks for more worker domains than the host
-    can schedule — the caller should warn: oversubscribed domains contend
-    instead of parallelizing (BENCH_hotpath.json measured jobs-4 on one
-    core at ~7x slower than serial). *)
-let oversubscription ~jobs =
-  let cores = Typequal.Pool.cores_available () in
-  if jobs > cores then Some cores else None
-
-(** The oversubscription advisory as a structured diagnostic (severity
-    {!Cfront.Diag.Notice}, code N0901). The batch CLIs render it with a
-    ["warning: "] prefix — byte-identical to the historical free-form
-    line — while the daemon ships it to clients as data. *)
-let oversubscription_notice ~jobs : Cfront.Diag.t option =
-  match oversubscription ~jobs with
-  | None -> None
-  | Some cores ->
-      Some
-        (Cfront.Diag.notice ~code:"N0901"
-           (Printf.sprintf
-              "--jobs %d exceeds the %d available cores; domains will \
-               contend rather than parallelize"
-              jobs cores))
-
 (* ------------------------------------------------------------------ *)
 (* Persistent cache (two disk tiers; see DESIGN.md)                    *)
 (* ------------------------------------------------------------------ *)
@@ -143,8 +120,7 @@ let mode_name = function
   | Analysis.Polyrec -> "polyrec"
 
 (* Everything that parameterizes inference besides the program text and
-   the qualifier space (already in the envelope context). [jobs] is
-   deliberately absent: results are jobs-invariant. *)
+   the qualifier space (already in the envelope context). *)
 let opt_fingerprint ~opts_id ~mode ~field_sharing ~simplify ~compact
     ~max_errors : string =
   let ob = function Some b -> string_of_bool b | None -> "-" in
@@ -342,16 +318,17 @@ type fe_memo = {
   mutable fm_misses : int;
 }
 
-(** The per-unit frontend alone: speculative parallel lex+parse+build per
-    translation unit, then a deterministic serial link that replays the
+(** The per-unit frontend alone: a speculative lex+parse+build per
+    translation unit, then a deterministic link that replays the
     cross-unit parser environment in file order and re-parses the rare
     unit whose speculative result it could have influenced. Returns the
     compiled program plus the function-name -> defining-unit table that
     anchors the report's stable position keys. [fe_memo] is the
     persistent session's in-memory AST tier, probed (and counted) before
-    the disk tier and fed by fresh parses. *)
-let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
-    : compiled * (string, string) Hashtbl.t =
+    the disk tier and fed by fresh parses. Everything runs on the
+    calling domain, so the phase times are wall times. *)
+let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
+    compiled * (string, string) Hashtbl.t =
   let lines =
     List.fold_left
       (fun acc (_, src) -> acc + Cfront.Cprog.count_lines src)
@@ -364,262 +341,214 @@ let compile_units ?cache ?fe_memo ~jobs ~me (files : (string * string) list)
     Array.map (fun (name, src) -> unit_digest name src) files_a
   in
   let n = Array.length files_a in
-      (* --- per-unit AST memo + cache probes (serial: neither the memo
-         table nor cache handles are domain-safe) --- *)
-      let probed : Cfront.Cparse.uresult option array = Array.make n None in
-      (match fe_memo with
-      | None -> ()
-      | Some m ->
-          Array.iteri
-            (fun i _ ->
-              match Hashtbl.find_opt m.fm_tbl digests_a.(i) with
+  (* --- per-unit AST memo + cache probes, all before the first fresh
+     parse feeds either tier --- *)
+  let probed =
+    Array.map
+      (fun digest ->
+        let memo_hit =
+          match fe_memo with
+          | None -> None
+          | Some m -> (
+              match Hashtbl.find_opt m.fm_tbl digest with
               | Some res ->
                   m.fm_hits <- m.fm_hits + 1;
-                  probed.(i) <- Some res
-              | None -> m.fm_misses <- m.fm_misses + 1)
-            files_a);
-      (match cache with
-      | None -> ()
-      | Some cs ->
-          Array.iteri
-            (fun i _ ->
-              if probed.(i) = None then
-                match
-                  (load_marshal cs.cs_cache ~kind:"unit"
-                     ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                     ~deps:[]
-                    : cached_unit option)
-                with
-                | Some cu -> probed.(i) <- Some cu.cu_res
-                | None -> ())
-            files_a);
-      (* --- speculative lex+parse+build, one task per unit --- *)
-      let slots : unit_fe option array = Array.make n None in
-      let tmu = Mutex.create () in
-      let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
-      let add cell dt =
-        Mutex.lock tmu;
-        cell := !cell +. dt;
-        Mutex.unlock tmu
-      in
-      (* token buffers whose unit is parsed, for the next scans to
-         overwrite: at most one per domain, so a project allocates token
-         storage a few times instead of once per unit *)
-      let spare = ref [] in
-      let take_spare () =
-        Mutex.lock tmu;
-        let tb =
-          match !spare with
-          | tb :: rest ->
-              spare := rest;
-              Some tb
-          | [] -> None
+                  Some res
+              | None ->
+                  m.fm_misses <- m.fm_misses + 1;
+                  None)
         in
-        Mutex.unlock tmu;
-        tb
-      in
-      let give_spare tb =
-        Mutex.lock tmu;
-        spare := tb :: !spare;
-        Mutex.unlock tmu
-      in
-      (* never more domains than units: a single file parses inline *)
-      Typequal.Pool.with_pool ~jobs:(max 1 (min jobs n)) (fun pool ->
-          Array.iteri
-            (fun i (name, src) ->
-              Typequal.Pool.submit pool (fun () ->
-                  let res =
-                    match probed.(i) with
-                    | Some res -> res
-                    | None ->
-                        let reuse = take_spare () in
-                        let (tb, lex_diags), t_lex =
-                          time (fun () ->
-                              Cfront.Clexer.tokenize_buf ~max_errors:me ?reuse
-                                src)
-                        in
-                        add lex_s t_lex;
-                        let res, t_parse =
-                          time (fun () ->
-                              Cfront.Cparse.parse_unit ~max_errors:me tb
-                                ~lex_diags)
-                        in
-                        add parse_s t_parse;
-                        give_spare tb;
-                        res
-                  in
-                  let prog, t_build =
-                    time (fun () ->
-                        Cfront.Cprog.build
-                          res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
-                  in
-                  add build_s t_build;
-                  slots.(i) <-
-                    Some
-                      {
-                        uf_name = name;
-                        uf_src = src;
-                        uf_res = res;
-                        uf_prog = prog;
-                      }))
-            files_a;
-          Typequal.Pool.wait pool);
-      (* --- persist fresh speculative parses (memo and disk) --- *)
-      Array.iteri
-        (fun i uf ->
-          match (probed.(i), uf) with
-          | None, Some uf ->
-              (match fe_memo with
-              | Some m -> Hashtbl.replace m.fm_tbl digests_a.(i) uf.uf_res
-              | None -> ());
-              (match cache with
-              | Some cs ->
-                  Cache.store cs.cs_cache ~kind:"unit"
-                    ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
-                    ~deps:[]
-                    (Marshal.to_string { cu_res = uf.uf_res } [])
-              | None -> ())
-          | _ -> ())
-        slots;
-      (* --- serial link: validate each speculative parse against the
-         accumulated environment, re-parse when it could have been
-         influenced, thread the diagnostic budget, merge in file order --- *)
-      let link_t0 = Unix.gettimeofday () in
-      let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-      let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
-      let env_anon = ref 0 in
-      let consumed = ref 0 in
-      let capped = ref false in
-      let reparsed = ref 0 in
-      let progs = ref [] in
-      let diags = ref [] in
-      let degraded = ref [] in
-      let unit_of_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
-      Array.iter
-        (fun uf ->
-          let uf = Option.get uf in
-          if not !capped then
-            if !consumed >= me then begin
-              (* the budget ran out exactly at a unit boundary: a
-                 whole-program parse would give up at this unit's first
-                 token *)
-              capped := true;
-              let d =
-                Cfront.Diag.note ~code:"E0299"
-                  uf.uf_res.Cfront.Cparse.ur_first_span
-                  (Printf.sprintf
-                     "too many errors (%d); giving up on the rest of the \
-                      file"
-                     me)
+        match (memo_hit, cache) with
+        | Some _, _ | None, None -> memo_hit
+        | None, Some cs ->
+            Option.map
+              (fun cu -> cu.cu_res)
+              (load_marshal cs.cs_cache ~kind:"unit"
+                 ~key:(unit_key ~max_errors:me ~digest) ~deps:[]
+                : cached_unit option))
+      digests_a
+  in
+  (* --- speculative lex+parse+build, one unit at a time; fresh parses
+     feed the memo and the disk tier --- *)
+  let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
+  (* the last parsed unit's token buffer, for the next scan to overwrite:
+     a project allocates token storage about once, not once per unit *)
+  let spare = ref None in
+  let parse_fresh i src =
+    let (tb, lex_diags), t_lex =
+      time (fun () ->
+          Cfront.Clexer.tokenize_buf ~max_errors:me ?reuse:!spare src)
+    in
+    lex_s := !lex_s +. t_lex;
+    let res, t_parse =
+      time (fun () -> Cfront.Cparse.parse_unit ~max_errors:me tb ~lex_diags)
+    in
+    parse_s := !parse_s +. t_parse;
+    spare := Some tb;
+    (match fe_memo with
+    | Some m -> Hashtbl.replace m.fm_tbl digests_a.(i) res
+    | None -> ());
+    (match cache with
+    | Some cs ->
+        Cache.store cs.cs_cache ~kind:"unit"
+          ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
+          ~deps:[]
+          (Marshal.to_string { cu_res = res } [])
+    | None -> ());
+    res
+  in
+  let ufs =
+    Array.mapi
+      (fun i (name, src) ->
+        let res =
+          match probed.(i) with Some res -> res | None -> parse_fresh i src
+        in
+        let prog, t_build =
+          time (fun () ->
+              Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
+        in
+        build_s := !build_s +. t_build;
+        { uf_name = name; uf_src = src; uf_res = res; uf_prog = prog })
+      files_a
+  in
+  (* --- link: validate each speculative parse against the accumulated
+     environment, re-parse when it could have been influenced, thread
+     the diagnostic budget, merge in file order --- *)
+  let link_t0 = Unix.gettimeofday () in
+  let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let env_anon = ref 0 in
+  let consumed = ref 0 in
+  let capped = ref false in
+  let reparsed = ref 0 in
+  let progs = ref [] in
+  let diags = ref [] in
+  let degraded = ref [] in
+  let unit_of_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  Array.iter
+    (fun uf ->
+      if not !capped then
+        if !consumed >= me then begin
+          (* the budget ran out exactly at a unit boundary: a
+             whole-program parse would give up at this unit's first
+             token *)
+          capped := true;
+          let d =
+            Cfront.Diag.note ~code:"E0299"
+              uf.uf_res.Cfront.Cparse.ur_first_span
+              (Printf.sprintf
+                 "too many errors (%d); giving up on the rest of the \
+                  file"
+                 me)
+          in
+          let d =
+            if multi then Cfront.Diag.with_unit uf.uf_name d else d
+          in
+          diags := d :: !diags
+        end
+        else begin
+          let spec = uf.uf_res in
+          let k =
+            List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags
+          in
+          let mention_hit =
+            (Hashtbl.length env_typedefs > 0
+            || Hashtbl.length env_enums > 0)
+            && List.exists
+                 (fun id ->
+                   Hashtbl.mem env_typedefs id
+                   || Hashtbl.mem env_enums id)
+                 spec.Cfront.Cparse.ur_idents
+          in
+          let anon_hit =
+            !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0
+          in
+          let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
+          let res, prog =
+            if not (mention_hit || anon_hit || budget_hit) then
+              (spec, uf.uf_prog)
+            else begin
+              incr reparsed;
+              let seed =
+                {
+                  Cfront.Cparse.us_typedefs =
+                    Hashtbl.fold
+                      (fun k () acc -> k :: acc)
+                      env_typedefs [];
+                  us_enums =
+                    Hashtbl.fold
+                      (fun k v acc -> (k, v) :: acc)
+                      env_enums [];
+                  us_anon = !env_anon;
+                  us_count_base = !consumed;
+                }
               in
+              let tb, lex_diags =
+                Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
+                  uf.uf_src
+              in
+              let res =
+                Cfront.Cparse.parse_unit ~max_errors:me ~seed tb
+                  ~lex_diags
+              in
+              ( res,
+                Cfront.Cprog.build
+                  res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog )
+            end
+          in
+          let pr = res.Cfront.Cparse.ur_pr in
+          consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
+          if res.Cfront.Cparse.ur_capped then capped := true;
+          List.iter
+            (fun name -> Hashtbl.replace env_typedefs name ())
+            res.Cfront.Cparse.ur_typedefs;
+          List.iter
+            (fun (name, v) -> Hashtbl.replace env_enums name v)
+            res.Cfront.Cparse.ur_enums;
+          env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
+          progs := prog :: !progs;
+          List.iter
+            (fun d ->
               let d =
                 if multi then Cfront.Diag.with_unit uf.uf_name d else d
               in
-              diags := d :: !diags
-            end
-            else begin
-              let spec = uf.uf_res in
-              let k =
-                List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags
-              in
-              let mention_hit =
-                (Hashtbl.length env_typedefs > 0
-                || Hashtbl.length env_enums > 0)
-                && List.exists
-                     (fun id ->
-                       Hashtbl.mem env_typedefs id
-                       || Hashtbl.mem env_enums id)
-                     spec.Cfront.Cparse.ur_idents
-              in
-              let anon_hit =
-                !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0
-              in
-              let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
-              let res, prog =
-                if not (mention_hit || anon_hit || budget_hit) then
-                  (spec, uf.uf_prog)
-                else begin
-                  incr reparsed;
-                  let seed =
-                    {
-                      Cfront.Cparse.us_typedefs =
-                        Hashtbl.fold
-                          (fun k () acc -> k :: acc)
-                          env_typedefs [];
-                      us_enums =
-                        Hashtbl.fold
-                          (fun k v acc -> (k, v) :: acc)
-                          env_enums [];
-                      us_anon = !env_anon;
-                      us_count_base = !consumed;
-                    }
-                  in
-                  let tb, lex_diags =
-                    Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
-                      uf.uf_src
-                  in
-                  let res =
-                    Cfront.Cparse.parse_unit ~max_errors:me ~seed tb
-                      ~lex_diags
-                  in
-                  ( res,
-                    Cfront.Cprog.build
-                      res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog )
-                end
-              in
-              let pr = res.Cfront.Cparse.ur_pr in
-              consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
-              if res.Cfront.Cparse.ur_capped then capped := true;
-              List.iter
-                (fun name -> Hashtbl.replace env_typedefs name ())
-                res.Cfront.Cparse.ur_typedefs;
-              List.iter
-                (fun (name, v) -> Hashtbl.replace env_enums name v)
-                res.Cfront.Cparse.ur_enums;
-              env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
-              progs := prog :: !progs;
-              List.iter
-                (fun d ->
-                  let d =
-                    if multi then Cfront.Diag.with_unit uf.uf_name d else d
-                  in
-                  diags := d :: !diags)
-                pr.Cfront.Cparse.pr_diags;
-              List.iter
-                (fun dg -> degraded := dg :: !degraded)
-                pr.Cfront.Cparse.pr_degraded;
-              List.iter
-                (fun (f : Cfront.Cast.fundef) ->
-                  if not (Hashtbl.mem unit_of_tbl f.Cfront.Cast.f_name) then
-                    Hashtbl.replace unit_of_tbl f.Cfront.Cast.f_name
-                      uf.uf_name)
-                (Cfront.Cprog.functions prog)
-            end)
-        slots;
-      let prog = Cfront.Cprog.merge (List.rev !progs) in
-      let link_s = Unix.gettimeofday () -. link_t0 in
-      let t_compile = Unix.gettimeofday () -. t0 in
-      let fe =
-        {
-          fs_units = n;
-          fs_reparsed = !reparsed;
-          fs_lex_s = !lex_s;
-          fs_parse_s = !parse_s;
-          fs_build_s = !build_s;
-          fs_link_s = link_s;
-        }
-      in
-      let co =
-        {
-          co_prog = prog;
-          co_diags = List.rev !diags;
-          co_degraded = List.rev !degraded;
-          co_lines = lines;
-          co_t_compile = t_compile;
-          co_frontend = Some fe;
-        }
-      in
-      (co, unit_of_tbl)
+              diags := d :: !diags)
+            pr.Cfront.Cparse.pr_diags;
+          List.iter
+            (fun dg -> degraded := dg :: !degraded)
+            pr.Cfront.Cparse.pr_degraded;
+          List.iter
+            (fun (f : Cfront.Cast.fundef) ->
+              if not (Hashtbl.mem unit_of_tbl f.Cfront.Cast.f_name) then
+                Hashtbl.replace unit_of_tbl f.Cfront.Cast.f_name
+                  uf.uf_name)
+            (Cfront.Cprog.functions prog)
+        end)
+    ufs;
+  let prog = Cfront.Cprog.merge (List.rev !progs) in
+  let link_s = Unix.gettimeofday () -. link_t0 in
+  let t_compile = Unix.gettimeofday () -. t0 in
+  let fe =
+    {
+      fs_units = n;
+      fs_reparsed = !reparsed;
+      fs_lex_s = !lex_s;
+      fs_parse_s = !parse_s;
+      fs_build_s = !build_s;
+      fs_link_s = link_s;
+    }
+  in
+  let co =
+    {
+      co_prog = prog;
+      co_diags = List.rev !diags;
+      co_degraded = List.rev !degraded;
+      co_lines = lines;
+      co_t_compile = t_compile;
+      co_frontend = Some fe;
+    }
+  in
+  (co, unit_of_tbl)
 
 (* the per-unit frontend's position anchor: a function's lines are
    already unit-local, so only the unit name needs resolving *)
@@ -649,8 +578,8 @@ let error_budget = function
     only for faults that leave nothing to analyze (e.g.
     [Cfront.Cprog.Frontend_error] from table construction). *)
 let run_sources ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
-    ?compact ?budget ?(jobs = 1) ?max_errors ?cache
-    (files : (string * string) list) : run =
+    ?compact ?budget ?max_errors ?cache (files : (string * string) list) :
+    run =
   let me = error_budget max_errors in
   (* budgeted runs are load-dependent, not reproducible artifacts: never
      cached, never served from cache *)
@@ -675,7 +604,7 @@ let run_sources ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
   match run_hit with
   | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
   | None ->
-      let co, unit_of_tbl = compile_units ?cache ~jobs ~me files in
+      let co, unit_of_tbl = compile_units ?cache ~me files in
       let run, _, _, _ =
         finish ?rules ?field_sharing ?simplify ?compact ?budget
           ~locate:(locate_of_tbl unit_of_tbl) mode co
@@ -688,10 +617,11 @@ let run_sources ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
       run
 
 (** The frontend alone — parse and link without analyzing. What the
-    bench harness times and heap-profiles. *)
-let compile_sources ?(jobs = 1) ?max_errors (files : (string * string) list)
-    : compiled =
-  fst (compile_units ~jobs ~me:(error_budget max_errors) files)
+    bench harness times and heap-profiles. [jobs] is accepted and
+    ignored: it remains only because the perfbench tool passes it. *)
+let compile_sources ?jobs:(_ : int option) ?max_errors
+    (files : (string * string) list) : compiled =
+  fst (compile_units ~me:(error_budget max_errors) files)
 
 (** Run both modes, reusing the parse: one row of Table 2. *)
 type row = {
@@ -754,7 +684,6 @@ type t = {
   s_simplify : bool option;
   s_compact : bool option;
   s_max_errors : int;  (* the validated diagnostic budget *)
-  s_jobs : int;
   s_cache : cache_spec option;
   (* the warm tier that survives invalidation: keyed by unit content
      digest, so a stale entry can never be served — an edit simply stops
@@ -766,8 +695,10 @@ type t = {
   s_modes : (string, mode_state) Hashtbl.t;
 }
 
+(* [jobs] is accepted and ignored, for the perfbench tool *)
 let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
-    ?max_errors ?(jobs = 1) ?cache (units : (string * string) list) : t =
+    ?max_errors ?jobs:(_ : int option) ?cache (units : (string * string) list)
+    : t =
   {
     s_rules = Option.value rules ~default:Analysis.const_rules;
     s_default_mode = mode;
@@ -775,7 +706,6 @@ let create ?rules ?(mode = Analysis.Poly) ?field_sharing ?simplify ?compact
     s_simplify = simplify;
     s_compact = compact;
     s_max_errors = error_budget max_errors;
-    s_jobs = jobs;
     s_cache = cache;
     s_fe_memo = { fm_tbl = Hashtbl.create 64; fm_hits = 0; fm_misses = 0 };
     s_units = units;
@@ -829,8 +759,8 @@ let ensure_compiled t =
   | None ->
       if t.s_units = [] then raise (Error "session has no units");
       let c =
-        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~jobs:t.s_jobs
-          ~me:t.s_max_errors t.s_units
+        compile_units ?cache:t.s_cache ~fe_memo:t.s_fe_memo ~me:t.s_max_errors
+          t.s_units
       in
       t.s_compiled <- Some c;
       c
@@ -927,15 +857,13 @@ let verdict_of_solver = function
   | Solver.Forced_down -> Report.Must_not_const
   | Solver.Free -> Report.Either
 
-(** "What breaks if I add [$qual] here?" — split into a serial prepare
-    step and a pure evaluation thunk. The prepare step snapshots the
-    warm store ({!Solver.export}) and the baseline verdicts; it must run
-    with exclusive access to the session (the daemon does this on its
-    event loop). The returned thunk clones the snapshot into a private
-    store, adds the speculative annotation as a lower bound, re-solves
-    incrementally, and diffs every position's verdict — it touches no
-    session state, so any number of thunks may run concurrently on the
-    domain pool. *)
+(** "What breaks if I add [$qual] here?" — split into a prepare step
+    and an evaluation thunk, so the perfbench tool can time them apart.
+    The prepare step snapshots the warm store ({!Solver.export}) and the
+    baseline verdicts. The returned thunk clones the snapshot into a
+    private store, adds the speculative annotation as a lower bound,
+    re-solves incrementally, and diffs every position's verdict; it
+    touches no session state, so it may run any number of times. *)
 let whatif_task ?mode t ~qual key :
     ((unit -> whatif_result), string) result =
   let ms = ensure_mode t (mode_of t mode) in
@@ -1034,9 +962,10 @@ let pp_mode_long ppf = function
 (** The per-run report exactly as [cqualc] prints it (stdout block only;
     diagnostics go to stderr and stay in the CLI). The daemon's [render]
     method returns this same text, which is what the CI smoke job diffs
-    against a cold [cqualc] run. *)
-let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
-    (r : run) : string =
+    against a cold [cqualc] run. [jobs] is accepted and ignored: it
+    remains only because the perfbench tool passes it. *)
+let render_run ?(stats = false) ?(positions = false) ?jobs:(_ : int option)
+    ~name mode (r : run) : string =
   let b = Buffer.create 1024 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let res = r.results in
@@ -1061,17 +990,13 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
     pr "solver: %s\n" (Fmt.str "%a" Typequal.Solver.pp_stats r.solver_stats);
     pr "fdg: %d sccs, largest %d, wavefront width %d\n" r.fdg_scc_count
       r.fdg_largest_scc r.wavefront_width;
-    (match r.frontend with
+    match r.frontend with
     | Some fs ->
         pr
           "frontend: %d units, %d reparsed, lex %.3fs, parse %.3fs, build \
            %.3fs, link %.3fs\n"
           fs.fs_units fs.fs_reparsed fs.fs_lex_s fs.fs_parse_s fs.fs_build_s
           fs.fs_link_s
-    | None -> ());
-    match oversubscription ~jobs with
-    | Some cores ->
-        pr "oversubscribed: %d jobs on %d available cores\n" jobs cores
     | None -> ()
   end;
   pr
@@ -1093,5 +1018,4 @@ let render_run ?(stats = false) ?(positions = false) ?(jobs = 1) ~name mode
 (** Render one mode of the session — the daemon's [render] method. *)
 let render ?mode ?stats ?positions ?(name = "session") t : string =
   let m = mode_of t mode in
-  render_run ?stats ?positions ~jobs:t.s_jobs ~name m
-    (ensure_mode t m).ms_run
+  render_run ?stats ?positions ~name m (ensure_mode t m).ms_run

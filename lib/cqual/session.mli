@@ -14,8 +14,8 @@ type timing = {
   t_analysis : float;  (** constraint generation + solving *)
 }
 
-(** Frontend phase breakdown. Under [--jobs] > 1 the lex/parse/build
-    times are summed across worker domains, so they can exceed the
+(** Frontend phase breakdown. The phases run one after another on one
+    domain, so each time is a wall time and their sum is at most the
     compile wall clock. *)
 type frontend_stats = {
   fs_units : int;
@@ -52,15 +52,6 @@ exception Error of string
 val compile : string -> Cfront.Cprog.t
 (** Parse a single source to its program tables; raises {!Error} when
     nothing parses. *)
-
-val oversubscription : jobs:int -> int option
-(** [Some cores] when [jobs] exceeds the host's available cores. *)
-
-val oversubscription_notice : jobs:int -> Cfront.Diag.t option
-(** The oversubscription advisory as a structured {!Cfront.Diag.Notice}
-    (code N0901). The CLIs print it with a ["warning: "] prefix —
-    byte-identical to the historical free-form line — and the daemon
-    ships it to clients as data. *)
 
 (** {2 Persistent on-disk cache} *)
 
@@ -110,7 +101,6 @@ val run_sources :
   ?simplify:bool ->
   ?compact:bool ->
   ?budget:Typequal.Budget.t ->
-  ?jobs:int ->
   ?max_errors:int ->
   ?cache:cache_spec ->
   (string * string) list ->
@@ -124,7 +114,8 @@ val run_sources :
 val compile_sources :
   ?jobs:int -> ?max_errors:int -> (string * string) list -> compiled
 (** The frontend alone — parse and link without analyzing. Raises
-    {!Error} for a [max_errors] below 1. *)
+    {!Error} for a [max_errors] below 1. [jobs] is accepted and ignored;
+    it remains only because the perfbench tool passes it. *)
 
 (** Run both modes, reusing the parse: one row of Table 2. *)
 type row = {
@@ -151,8 +142,7 @@ type t
     dropped on any unit edit; the content-addressed per-unit AST memo
     survives. Re-running after an edit therefore costs one parse per
     edited unit, the link, and the same serial analysis a batch
-    [cqualc] run performs. [jobs] sets the domains that parse units
-    and evaluate [whatif] batches; the analysis itself is serial. *)
+    [cqualc] run performs. *)
 
 val create :
   ?rules:Analysis.qrules ->
@@ -169,7 +159,8 @@ val create :
     [mode] is the default query/analysis mode (default [Poly]);
     [cache] additionally attaches the persistent disk tiers. Nothing is
     parsed or analyzed until the first {!run} or query. Raises {!Error}
-    for a [max_errors] below 1. *)
+    for a [max_errors] below 1. [jobs] is accepted and ignored; it
+    remains only because the perfbench tool passes it. *)
 
 val units : t -> string list
 (** Current unit names, in link order. *)
@@ -245,11 +236,10 @@ val whatif_task :
   qual:string ->
   string ->
   (unit -> whatif_result, string) result
-(** "What breaks if I add [$qual] here?" — the serial prepare step
-    snapshots the warm store and baseline verdicts (run it with
-    exclusive session access); the returned thunk solves a private
-    clone and touches no session state, so any number of thunks may run
-    concurrently on the domain pool. *)
+(** "What breaks if I add [$qual] here?" — the prepare step snapshots
+    the warm store and baseline verdicts; the returned thunk solves a
+    private clone and touches no session state. The split lets the
+    perfbench tool time the two steps apart. *)
 
 val whatif :
   ?mode:Analysis.mode ->
@@ -286,7 +276,8 @@ val render_run :
   run ->
   string
 (** The per-run report exactly as [cqualc] prints it (stdout block
-    only). *)
+    only). [jobs] is accepted and ignored; it remains only because the
+    perfbench tool passes it. *)
 
 val render :
   ?mode:Analysis.mode ->

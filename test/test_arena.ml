@@ -305,8 +305,8 @@ let test_project_shape () =
 
 let test_multifile_driver_parity () =
   let files = Cbench.Programs.miniproject in
-  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly files in
+  let par = Test_parallel.session_run ~jobs:4 Cqual.Analysis.Poly files in
   Alcotest.(check string) "miniproject: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par);
   Alcotest.(check int) "no degradations" 0
@@ -317,11 +317,11 @@ let test_multifile_driver_parity () =
           serial.Cqual.Session.results.Cqual.Report.outcomes))
 
 let test_scale_corpus_parity () =
-  (* a small instance of the scale corpus end-to-end: serial and jobs-4
-     reports identical, as CI diffs on the big one *)
+  (* a small instance of the scale corpus end-to-end: batch and the
+     session at jobs 4 report identically, as CI diffs on the big one *)
   let files = Cbench.Gen.generate_project ~seed:0xA12 ~target_lines:6_000 () in
-  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:1 files in
-  let par = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly ~jobs:4 files in
+  let serial = Cqual.Session.run_sources ~mode:Cqual.Analysis.Poly files in
+  let par = Test_parallel.session_run ~jobs:4 Cqual.Analysis.Poly files in
   Alcotest.(check string) "scale corpus: jobs 4 = jobs 1"
     (Test_parallel.digest serial) (Test_parallel.digest par)
 

@@ -496,7 +496,7 @@ let test_phase_timers_sane () =
   let open Cqual in
   let t0 = Unix.gettimeofday () in
   let r =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:1 Cbench.Programs.miniproject
+    Session.run_sources ~mode:Analysis.Poly Cbench.Programs.miniproject
   in
   let wall = Unix.gettimeofday () -. t0 in
   let st = r.Session.solver_stats in

@@ -44,8 +44,7 @@ let digest (r : Session.run) : string =
        st.Solver.worklist_pops);
   Buffer.contents b
 
-let run ?mode ?jobs ?max_errors files =
-  Session.run_sources ?mode ?jobs ?max_errors files
+let run ?mode ?max_errors files = Session.run_sources ?mode ?max_errors files
 
 (* what the whole-program frontend must agree on with the per-unit one,
    leaving out everything that carries a line: the report counts,
@@ -104,14 +103,11 @@ let concat_model ?(mode = Analysis.Mono) ?(max_errors = 20) files : string =
   in
   projection res (Analysis.stats env) pr.Cparse.pr_diags
 
-(* the per-unit frontend agrees with itself across job counts on
-   everything observable, and with the whole-program model on the
+(* the per-unit frontend agrees with the whole-program model on the
    line-free projection *)
 let check_parity ?mode ?max_errors what files =
-  let r1 = run ?mode ?max_errors ~jobs:1 files in
+  let r1 = run ?mode ?max_errors files in
   let d0 = digest r1 in
-  Alcotest.(check string) (what ^ ": per-unit jobs 4") d0
-    (digest (run ?mode ?max_errors ~jobs:4 files));
   Alcotest.(check string) (what ^ ": whole-program model")
     (concat_model ?mode ?max_errors files)
     (projection r1.Session.results r1.Session.solver_stats
@@ -356,23 +352,34 @@ let test_dirty_unit_reparses_one () =
         r_cold.Session.results.Report.possible
         r_dirty.Session.results.Report.possible)
 
-(* ---------------- oversubscription warning predicate ---------------- *)
+(* ---------------- the phase times are wall times ---------------- *)
 
-let test_oversubscription () =
-  let cores = Typequal.Pool.cores_available () in
-  Alcotest.(check (option int)) "jobs=1 never oversubscribes" None
-    (Session.oversubscription ~jobs:1);
-  Alcotest.(check (option int)) "cores+1 oversubscribes" (Some cores)
-    (Session.oversubscription ~jobs:(cores + 1));
-  Alcotest.(check (option int)) "jobs=cores fits" None
-    (Session.oversubscription ~jobs:cores)
+(* The frontend runs on one domain, so lex, parse, build and link are
+   disjoint intervals of the compile wall clock: their sum can fall
+   short of it (probes, bookkeeping) but never exceed it. *)
+let test_phases_are_wall_times () =
+  let r = run Cbench.Programs.miniproject in
+  match r.Session.frontend with
+  | None -> Alcotest.fail "an uncached run reports its frontend phases"
+  | Some fs ->
+      Alcotest.(check bool) "several units" true (fs.Session.fs_units > 1);
+      let sum =
+        fs.Session.fs_lex_s +. fs.Session.fs_parse_s +. fs.Session.fs_build_s
+        +. fs.Session.fs_link_s
+      in
+      let wall = r.Session.timing.Session.t_compile in
+      if sum > wall +. 0.001 then
+        Alcotest.failf "phases sum to %.6fs, compile wall clock is %.6fs" sum
+          wall
 
-(* ---------------- domains share no scanner state ---------------- *)
+(* ---------------- no scanner state leaks between units ---------------- *)
 
 (* Units dense in constructs whose spans start before their last lexeme
    (multi-line strings and comments) and in lexical errors, including
-   unterminated constructs: lexed on 4 domains at once, every span and
-   diagnostic must match the serial frontend's. *)
+   unterminated constructs: compiled with the (ignored) [jobs] at 4, every
+   span and diagnostic must match the default run's. Each unit reuses the
+   previous unit's token buffer, so any state the scanner kept across
+   units would show here. *)
 let test_jobs_scanner_isolation () =
   let unit_src i =
     let b = Buffer.create 4096 in
@@ -428,6 +435,6 @@ let tests =
       test_many_degraded_outcomes;
     Alcotest.test_case "dirty unit re-parses exactly one unit" `Quick
       test_dirty_unit_reparses_one;
-    Alcotest.test_case "oversubscription predicate" `Quick
-      test_oversubscription;
+    Alcotest.test_case "frontend phases are wall times" `Quick
+      test_phases_are_wall_times;
   ]

@@ -1,60 +1,14 @@
-(* The domain pool, and the [--jobs] contract: a job count never changes
-   a report. The analysis is serial at every job count (only the per-unit
-   frontend parse and what-if batches use the pool), so these tests guard
-   that no job-count-dependent path creeps back in — including under
-   faults and budget exhaustion. Multi-file runs, where the pool actually
-   parses units, are covered by the arena, frontend, session and cache
-   suites at jobs 1 and 4. *)
+(* The [--jobs] contract: a job count never changes a report. Every run
+   is serial; the entry points that still take [?jobs] (the session, the
+   frontend, the analysis and the renderer) accept and ignore it. These
+   tests guard that no job-count-dependent path creeps back in —
+   including under faults and budget exhaustion. *)
 
-module Pool = Typequal.Pool
 module Budget = Typequal.Budget
 module Solver = Typequal.Solver
 open Cqual
 
-(* ---------------- the domain pool itself ---------------- *)
-
-let test_pool_runs_everything () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let n = Atomic.make 0 in
-      for _ = 1 to 200 do
-        Pool.submit pool (fun () -> Atomic.incr n)
-      done;
-      Pool.wait pool;
-      Alcotest.(check int) "all tasks ran" 200 (Atomic.get n))
-
-let test_pool_nested_submit () =
-  (* tasks submitting tasks: wait drains transitively *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let n = Atomic.make 0 in
-      for _ = 1 to 10 do
-        Pool.submit pool (fun () ->
-            Atomic.incr n;
-            Pool.submit pool (fun () -> Atomic.incr n))
-      done;
-      Pool.wait pool;
-      Alcotest.(check int) "children too" 20 (Atomic.get n))
-
-let test_pool_funnels_exceptions () =
-  match
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Pool.submit pool (fun () -> failwith "boom");
-        Pool.wait pool)
-  with
-  | () -> Alcotest.fail "expected the funneled exception"
-  | exception Failure m -> Alcotest.(check string) "first exception" "boom" m
-
-let test_pool_serial_inline () =
-  (* jobs <= 1: no domains, tasks run inline in submission order *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let order = ref [] in
-      List.iter
-        (fun i -> Pool.submit pool (fun () -> order := i :: !order))
-        [ 1; 2; 3 ];
-      Pool.wait pool;
-      Alcotest.(check (list int)) "submission order" [ 1; 2; 3 ]
-        (List.rev !order))
-
-(* ---------------- determinism: jobs=4 == jobs=1 ---------------- *)
+(* ---------------- determinism: any jobs == serial ---------------- *)
 
 (* Everything observable from a run, rendered to a string: per-position
    verdicts, counts, warnings, per-function outcomes, and the solver's
@@ -89,6 +43,10 @@ let digest (r : Session.run) : string =
 let modes =
   [ ("mono", Analysis.Mono); ("poly", Analysis.Poly); ("polyrec", Analysis.Polyrec) ]
 
+(* a run through the session, which still accepts a job count *)
+let session_run ?rules ~jobs mode files =
+  Session.run (Session.create ?rules ~mode ~jobs files)
+
 let test_parallel_deterministic () =
   (* random programs, every mode: a jobs-4 run must be observably
      identical to the jobs-1 run, down to the solver counters *)
@@ -97,8 +55,8 @@ let test_parallel_deterministic () =
       let src = Cbench.Gen.generate ~seed ~target_lines:400 () in
       List.iter
         (fun (mname, mode) ->
-          let serial = Session.run_sources ~mode ~jobs:1 [ ("<input>", src) ] in
-          let par = Session.run_sources ~mode ~jobs:4 [ ("<input>", src) ] in
+          let serial = Session.run_sources ~mode [ ("<input>", src) ] in
+          let par = session_run ~jobs:4 mode [ ("<input>", src) ] in
           Alcotest.(check string)
             (Printf.sprintf "seed %d %s: jobs 4 = jobs 1" seed mname)
             (digest serial) (digest par))
@@ -110,10 +68,8 @@ let test_parallel_deterministic_taint () =
   let rules = Analysis.taint_rules in
   List.iter
     (fun (mname, mode) ->
-      let serial =
-        Session.run_sources ~rules ~mode ~jobs:1 [ ("<input>", src) ]
-      in
-      let par = Session.run_sources ~rules ~mode ~jobs:2 [ ("<input>", src) ] in
+      let serial = Session.run_sources ~rules ~mode [ ("<input>", src) ] in
+      let par = session_run ~rules ~jobs:2 mode [ ("<input>", src) ] in
       Alcotest.(check string)
         (Printf.sprintf "taint %s: jobs 2 = jobs 1" mname)
         (digest serial) (digest par))
@@ -122,25 +78,51 @@ let test_parallel_deterministic_taint () =
 let test_parallel_repeatable () =
   (* the same jobs-4 run twice: nothing nondeterministic may leak *)
   let src = Cbench.Gen.generate ~seed:15 ~target_lines:400 () in
-  let a =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
-  in
-  let b =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
-  in
+  let a = session_run ~jobs:4 Analysis.Poly [ ("<input>", src) ] in
+  let b = session_run ~jobs:4 Analysis.Poly [ ("<input>", src) ] in
   Alcotest.(check string) "two jobs-4 runs agree" (digest a) (digest b)
 
-(* ---------------- degradation at jobs > 1 ---------------- *)
+(* The perfbench tool's batch path hands [~jobs] to the frontend, the
+   analysis and the renderer: each must behave exactly as without it,
+   down to the rendered [--stats] block. *)
+let test_ignored_jobs_arguments () =
+  let files = Cbench.Programs.miniproject in
+  let co = Session.compile_sources files in
+  let co4 = Session.compile_sources ~jobs:4 files in
+  Alcotest.(check (list string))
+    "compile_sources: diagnostics"
+    (List.map Cfront.Diag.to_string co.Session.co_diags)
+    (List.map Cfront.Diag.to_string co4.Session.co_diags);
+  List.iter
+    (fun (mname, mode) ->
+      let measure ?jobs () =
+        let env, ifaces = Analysis.run ?jobs mode co4.Session.co_prog in
+        Report.measure env ifaces
+      in
+      Alcotest.(check bool)
+        (mname ^ ": Analysis.run results")
+        true
+        (measure () = measure ~jobs:4 ());
+      let r = Session.run_sources ~mode files in
+      let render ?jobs () =
+        Session.render_run ~stats:true ~positions:true ?jobs ~name:"p" mode r
+      in
+      Alcotest.(check string)
+        (mname ^ ": render_run")
+        (render ()) (render ~jobs:4 ()))
+    modes
+
+(* ---------------- degradation ---------------- *)
 
 let test_budget_exhaustion_parallel () =
-  (* a budget that trips mid-run at jobs 4: the analysis must degrade —
+  (* a budget that trips mid-run: the analysis must degrade —
      every function still gets an outcome, nothing crashes, and the
      report is produced (the CLI exits 0 on this path) *)
   let src = Cbench.Gen.generate ~seed:16 ~target_lines:600 () in
   List.iter
     (fun (mname, mode) ->
       let budget = Budget.create ~max_vars:60 ~clock:Unix.gettimeofday () in
-      let r = Session.run_sources ~mode ~budget ~jobs:4 [ ("<input>", src) ] in
+      let r = Session.run_sources ~mode ~budget [ ("<input>", src) ] in
       let res = r.Session.results in
       let degraded =
         List.filter
@@ -159,19 +141,20 @@ let test_budget_exhaustion_parallel () =
 
 let test_faulting_scc_isolated () =
   (* [use] faults during analysis (its typedef was lost to parser
-     recovery, so interface construction raises): at jobs 1 and 4 the
-     fault degrades that function only *)
+     recovery, so interface construction raises): batch and through
+     the session at jobs 4, the fault degrades that function only *)
   let src =
     "typedef int T, 5;\n\
      int use(T *p) { return *p; }\n\
      int ok(int *q) { return *q; }\n\
      int caller(int *r) { return use(r) + ok(r); }\n"
   in
+  let serial =
+    Session.run_sources ~mode:Analysis.Poly [ ("<input>", src) ]
+  in
+  let par = session_run ~jobs:4 Analysis.Poly [ ("<input>", src) ] in
   List.iter
-    (fun jobs ->
-      let r =
-        Session.run_sources ~mode:Analysis.Poly ~jobs [ ("<input>", src) ]
-      in
+    (fun r ->
       let outcome f = List.assoc f r.Session.results.Report.outcomes in
       (match outcome "ok" with
       | Analysis.Analyzed -> ()
@@ -179,32 +162,24 @@ let test_faulting_scc_isolated () =
       match outcome "use" with
       | Analysis.Degraded _ -> ()
       | Analysis.Analyzed -> Alcotest.fail "use should degrade")
-    [ 1; 4 ];
-  (* and the two job counts agree on the whole report *)
-  let serial =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:1 [ ("<input>", src) ]
-  in
-  let par =
-    Session.run_sources ~mode:Analysis.Poly ~jobs:4 [ ("<input>", src) ]
-  in
+    [ serial; par ];
+  (* and the two agree on the whole report *)
   Alcotest.(check string) "fault parity" (digest serial) (digest par)
 
+(* the job-count cases keep positions 4 and 5, by which recorded test
+   results name them *)
 let tests =
   [
-    Alcotest.test_case "pool: runs every task" `Quick test_pool_runs_everything;
-    Alcotest.test_case "pool: nested submit" `Quick test_pool_nested_submit;
-    Alcotest.test_case "pool: funnels exceptions" `Quick
-      test_pool_funnels_exceptions;
-    Alcotest.test_case "pool: jobs=1 is inline and ordered" `Quick
-      test_pool_serial_inline;
-    Alcotest.test_case "jobs 4 = jobs 1 (const, all modes)" `Slow
-      test_parallel_deterministic;
-    Alcotest.test_case "jobs 2 = jobs 1 (taint, all modes)" `Slow
-      test_parallel_deterministic_taint;
     Alcotest.test_case "parallel runs repeatable" `Quick
       test_parallel_repeatable;
     Alcotest.test_case "budget exhaustion degrades gracefully" `Slow
       test_budget_exhaustion_parallel;
     Alcotest.test_case "faulting function isolated under parallelism" `Quick
       test_faulting_scc_isolated;
+    Alcotest.test_case "ignored jobs: compile, analyze, render" `Quick
+      test_ignored_jobs_arguments;
+    Alcotest.test_case "jobs 4 = jobs 1 (const, all modes)" `Slow
+      test_parallel_deterministic;
+    Alcotest.test_case "jobs 2 = jobs 1 (taint, all modes)" `Slow
+      test_parallel_deterministic_taint;
   ]

@@ -1,12 +1,11 @@
-(* The edit-script replay harness for the persistent Session, plus the
-   daemon's wire format.
+(* The edit-script replay harness for the persistent Session, the
+   daemon's wire format, and the built daemon answering what-if batches.
 
    The core property: a warm session that has lived through a sequence
    of edits renders byte-identically to a cold session built fresh over
-   the same sources — at every step, for clean and for broken corpora,
-   and regardless of the warm session's job count (the cold oracle always
-   runs serial). Scripts end by restoring the original sources, so the
-   final render must equal the very first. *)
+   the same sources — at every step, for clean and for broken corpora.
+   Scripts end by restoring the original sources, so the final render
+   must equal the very first. *)
 
 open Cqual
 
@@ -41,14 +40,14 @@ let snapshot t =
   ( Session.render ~positions:true ~name:"replay" t,
     render_diags (Session.diagnostics t) )
 
-(* cold oracle: a fresh serial session over the same sources *)
-let cold_snapshot units = snapshot (Session.create ~jobs:1 units)
+(* cold oracle: a fresh session over the same sources *)
+let cold_snapshot units = snapshot (Session.create units)
 
-(* Apply [script] (a list of (unit, new-source) edits) to a warm session
-   at [jobs], checking warm = cold after every step. The script must end
-   with the units back at their original sources. *)
-let replay ~jobs units script =
-  let t = Session.create ~jobs units in
+(* Apply [script] (a list of (unit, new-source) edits) to a warm session,
+   checking warm = cold after every step. The script must end with the
+   units back at their original sources. *)
+let replay units script =
+  let t = Session.create units in
   let check step units =
     let warm_r, warm_d = snapshot t in
     let cold_r, cold_d = cold_snapshot units in
@@ -87,13 +86,8 @@ let broken_script () =
     ("viol.c", viol_src);
   ]
 
-let test_replay_clean_serial () = replay ~jobs:1 clean_units (clean_script ())
-let test_replay_clean_par () = replay ~jobs:4 clean_units (clean_script ())
-
-let test_replay_broken_serial () =
-  replay ~jobs:1 broken_units (broken_script ())
-
-let test_replay_broken_par () = replay ~jobs:4 broken_units (broken_script ())
+let test_replay_clean_serial () = replay clean_units (clean_script ())
+let test_replay_broken_serial () = replay broken_units (broken_script ())
 
 (* ---------------- invalidation granularity ---------------- *)
 
@@ -188,67 +182,110 @@ let test_explain_contract () =
 
 (* ---------------- whatif: concurrent thunks = inline ---------------- *)
 
-let test_whatif_concurrent_matches_inline () =
+(* the first [n] position keys of the clean corpus *)
+let clean_keys n =
   let t = Session.create clean_units in
-  let keys =
-    List.filteri (fun i _ -> i < 6) (Session.positions t)
-    |> List.map (fun (k, _, _) -> k)
-  in
+  List.filteri (fun i _ -> i < n) (Session.positions t)
+  |> List.map (fun (k, _, _) -> k)
+
+(* the perfbench tool's path — prepare with [whatif_task], then run the
+   thunk — answers as [whatif] does, and asking a key twice gives the
+   same answer twice *)
+let test_whatif_task_matches_inline () =
+  let t = Session.create clean_units in
+  let keys = clean_keys 6 in
   Alcotest.(check bool) "have keys" true (keys <> []);
-  let inline =
-    List.map
-      (fun k ->
-        match Session.whatif t ~qual:"const" k with
-        | Ok r -> r
-        | Error e -> Alcotest.fail ("inline whatif failed: " ^ e))
-      keys
+  let inline k =
+    match Session.whatif t ~qual:"const" k with
+    | Ok r -> r
+    | Error e -> Alcotest.fail ("inline whatif failed: " ^ e)
   in
-  (* prepare serially, evaluate the thunks concurrently on the pool *)
-  let thunks =
-    List.map
-      (fun k ->
-        match Session.whatif_task t ~qual:"const" k with
-        | Ok f -> f
-        | Error e -> Alcotest.fail ("whatif_task failed: " ^ e))
-      keys
-  in
-  let out = Array.make (List.length thunks) None in
-  Typequal.Pool.with_pool ~jobs:4 (fun pool ->
-      List.iteri
-        (fun i f ->
-          Typequal.Pool.submit pool (fun () -> out.(i) <- Some (f ())))
-        thunks;
-      Typequal.Pool.wait pool);
   List.iteri
-    (fun i expect ->
-      match out.(i) with
-      | None -> Alcotest.fail "thunk did not run"
-      | Some got ->
+    (fun i k ->
+      let expect = inline k in
+      (match Session.whatif_task t ~qual:"const" k with
+      | Ok f ->
           Alcotest.(check bool)
-            (Printf.sprintf "pooled whatif %d matches inline" i)
-            true (got = expect))
-    inline
-
-(* ---------------- the oversubscription notice ---------------- *)
-
-let test_oversubscription_notice () =
-  (match Session.oversubscription_notice ~jobs:1 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "jobs:1 must not warn");
-  match Session.oversubscription_notice ~jobs:9999 with
-  | None -> Alcotest.fail "jobs:9999 must warn"
-  | Some d ->
+            (Printf.sprintf "task thunk %d matches inline" i)
+            true
+            (f () = expect)
+      | Error e -> Alcotest.fail ("whatif_task failed: " ^ e));
       Alcotest.(check bool)
-        "is a Notice" true
-        (d.Cfront.Diag.d_severity = Cfront.Diag.Notice);
-      Alcotest.(check string) "stable code" "N0901" d.Cfront.Diag.d_code;
-      Alcotest.(check string)
-        "severity renders as notice" "notice"
-        (Fmt.str "%a" Cfront.Diag.pp_severity d.Cfront.Diag.d_severity);
-      Alcotest.(check bool)
-        "legacy message text" true
-        (String.length d.Cfront.Diag.d_message > 0
-        && String.sub d.Cfront.Diag.d_message 0 12 = "--jobs 9999 ")
+        (Printf.sprintf "key %d asked twice" i)
+        true
+        (inline k = expect))
+    keys
+
+(* ---------------- the built daemon ---------------- *)
+
+let typequald =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "typequald.exe" ]
+
+(* run typequald with [input] on stdin — a regular file, so the daemon
+   reads every request in one read and answers them as one batch *)
+let run_daemon args input =
+  let inp = Filename.temp_file "typequald" ".in" in
+  let out = Filename.temp_file "typequald" ".out" in
+  Out_channel.with_open_bin inp (fun oc -> output_string oc input);
+  let fd_in = Unix.openfile inp [ Unix.O_RDONLY ] 0 in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Unix.create_process typequald
+      (Array.of_list (typequald :: args))
+      fd_in fd_out Unix.stderr
+  in
+  Unix.close fd_in;
+  Unix.close fd_out;
+  let _, status = Unix.waitpid [] pid in
+  let lines =
+    In_channel.with_open_bin out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Sys.remove inp;
+  Sys.remove out;
+  (status, lines)
+
+(* two whatif requests in one write — the same key twice, then two
+   distinct keys — each get two results and a clean exit *)
+let test_daemon_whatif_pairs () =
+  let k1, k2 =
+    match clean_keys 2 with
+    | [ k1; k2 ] -> (k1, k2)
+    | _ -> Alcotest.fail "need two position keys"
+  in
+  let request id key =
+    Printf.sprintf
+      "{\"id\":%d,\"method\":\"whatif\",\"params\":{\"key\":\"%s\",\"qual\":\"const\"}}\n"
+      id key
+  in
+  List.iter
+    (fun (what, ka, kb) ->
+      let status, lines =
+        run_daemon
+          [ "--bench"; "miniproject"; "--mode"; "poly" ]
+          (request 1 ka ^ request 2 kb)
+      in
+      Alcotest.(check bool) (what ^ ": exit 0") true (status = Unix.WEXITED 0);
+      let results =
+        List.map
+          (fun l ->
+            match Wire.of_string l with
+            | Ok j -> (Wire.mem_int "id" j, Wire.mem "result" j)
+            | Error e -> Alcotest.failf "%s: bad response %S: %s" what l e)
+          lines
+      in
+      match results with
+      | [ (Some 1, Some r1); (Some 2, Some r2) ] ->
+          if ka = kb then
+            Alcotest.(check string) (what ^ ": equal answers")
+              (Wire.to_string r1) (Wire.to_string r2)
+      | _ ->
+          Alcotest.failf "%s: want two results, got %s" what
+            (String.concat " | " lines))
+    [ ("same key", k1, k1); ("distinct keys", k1, k2) ]
 
 (* ---------------- the wire format ---------------- *)
 
@@ -321,12 +358,8 @@ let tests =
   [
     Alcotest.test_case "replay: clean corpus, serial" `Quick
       test_replay_clean_serial;
-    Alcotest.test_case "replay: clean corpus, jobs 4" `Quick
-      test_replay_clean_par;
     Alcotest.test_case "replay: broken corpus, serial" `Quick
       test_replay_broken_serial;
-    Alcotest.test_case "replay: broken corpus, jobs 4" `Quick
-      test_replay_broken_par;
     Alcotest.test_case "unchanged update invalidates nothing" `Quick
       test_unchanged_is_noop;
     Alcotest.test_case "AST memo survives an edit" `Quick
@@ -336,10 +369,10 @@ let tests =
       test_position_key_aliases;
     Alcotest.test_case "explain: Ok on known, Error on unknown" `Quick
       test_explain_contract;
-    Alcotest.test_case "whatif: pooled thunks match inline" `Quick
-      test_whatif_concurrent_matches_inline;
-    Alcotest.test_case "oversubscription is a structured notice" `Quick
-      test_oversubscription_notice;
+    Alcotest.test_case "whatif: task thunk matches inline" `Quick
+      test_whatif_task_matches_inline;
+    Alcotest.test_case "daemon: whatif pairs in one write" `Quick
+      test_daemon_whatif_pairs;
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire: unicode escapes" `Quick test_wire_unicode;
     Alcotest.test_case "wire: malformed input" `Quick test_wire_errors;
