@@ -7,7 +7,11 @@
     Qualifiers on types are kept as the literal list of source qualifier
     names ([const], plus [$name] user qualifiers per Section 2.5);
     [volatile] and storage classes are parsed and dropped, as they are
-    irrelevant to qualifier inference. *)
+    irrelevant to qualifier inference.
+
+    Every name — variables, fields, functions, parameters, struct tags,
+    typedefs — is an interned {!Sym.t}; literals and labels stay
+    strings. *)
 
 type quals = string list
 (** qualifier names, sorted, no duplicates; [const] is the one Section 4
@@ -28,9 +32,9 @@ type ctype =
   | TFloat of fkind * quals
   | TPtr of ctype * quals  (** quals qualify the pointer value itself *)
   | TArray of ctype * int option * quals
-  | TStruct of string * quals  (** reference to a struct/union tag *)
-  | TNamed of string * quals  (** typedef name, expanded before analysis *)
-  | TFun of ctype * (string * ctype) list * bool  (** return, params, varargs *)
+  | TStruct of Sym.t * quals  (** reference to a struct/union tag *)
+  | TNamed of Sym.t * quals  (** typedef name, expanded before analysis *)
+  | TFun of ctype * (Sym.t * ctype) list * bool  (** return, params, varargs *)
 
 and ikind = IChar | IShort | IInt | ILong | IUChar | IUShort | IUInt | IULong
 and fkind = FFloat | FDouble
@@ -48,7 +52,7 @@ type expr =
   | EFloat of float
   | EChar of char
   | EString of string
-  | EVar of string
+  | EVar of Sym.t
   | EUnop of unop * expr
   | EBinop of binop * expr * expr
   | EAssign of expr * expr
@@ -58,8 +62,8 @@ type expr =
   | EComma of expr * expr
   | ECall of expr * expr list
   | EIndex of expr * expr
-  | EMember of expr * string  (** [e.f] *)
-  | EArrow of expr * string  (** [e->f] *)
+  | EMember of expr * Sym.t  (** [e.f] *)
+  | EArrow of expr * Sym.t  (** [e->f] *)
   | ECast of ctype * expr
   | ESizeofT of ctype
   | ESizeofE of expr
@@ -68,7 +72,7 @@ type expr =
   | EInitList of expr list  (** brace initializer *)
 
 type decl = {
-  d_name : string;
+  d_name : Sym.t;
   d_type : ctype;
   d_init : expr option;
   d_line : int;
@@ -94,9 +98,9 @@ type stmt =
   | SNull
 
 type fundef = {
-  f_name : string;
+  f_name : Sym.t;
   f_ret : ctype;
-  f_params : (string * ctype) list;
+  f_params : (Sym.t * ctype) list;
   f_varargs : bool;
   f_body : stmt list;
   f_static : bool;
@@ -115,11 +119,11 @@ type fundef = {
 type global =
   | GVar of decl
   | GFun of fundef
-  | GProto of string * ctype * int  (** name, TFun type, line *)
-  | GTypedef of string * ctype * int
-  | GComp of string * bool * (string * ctype) list * int
+  | GProto of Sym.t * ctype * int  (** name, TFun type, line *)
+  | GTypedef of Sym.t * ctype * int
+  | GComp of Sym.t * bool * (Sym.t * ctype) list * int
       (** tag, is_union, fields, line — struct/union definition *)
-  | GEnum of string * (string * int) list * int
+  | GEnum of Sym.t * (Sym.t * int) list * int
 
 type program = global list
 
@@ -185,8 +189,8 @@ let rec pp_ctype ppf = function
   | TPtr (t, q) -> Fmt.pf ppf "%a*%a" pp_ctype t pp_quals q
   | TArray (t, Some n, q) -> Fmt.pf ppf "%a%a[%d]" pp_quals q pp_ctype t n
   | TArray (t, None, q) -> Fmt.pf ppf "%a%a[]" pp_quals q pp_ctype t
-  | TStruct (s, q) -> Fmt.pf ppf "%astruct %s" pp_quals q s
-  | TNamed (s, q) -> Fmt.pf ppf "%a%s" pp_quals q s
+  | TStruct (s, q) -> Fmt.pf ppf "%astruct %s" pp_quals q (Sym.name s)
+  | TNamed (s, q) -> Fmt.pf ppf "%a%s" pp_quals q (Sym.name s)
   | TFun (r, ps, va) ->
       Fmt.pf ppf "%a(%a%s)" pp_ctype r
         Fmt.(list ~sep:comma (fun ppf (_, t) -> pp_ctype ppf t))
@@ -257,3 +261,83 @@ and fold_exprs_vars f acc = function
 
 (** All identifiers referenced in an expression. *)
 let expr_idents acc e = fold_expr_vars (fun acc x -> x :: acc) acc e
+
+(* ------------------------------------------------------------------ *)
+(* Renaming                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** The program with every symbol mapped through [f]: how an AST
+    persisted under another process's symbol ids is rebased onto this
+    process's (see DESIGN.md "Symbols"). *)
+let map_program (f : Sym.t -> Sym.t) (p : program) : program =
+  let rec ty = function
+    | (TVoid _ | TInt _ | TFloat _) as t -> t
+    | TPtr (t, q) -> TPtr (ty t, q)
+    | TArray (t, n, q) -> TArray (ty t, n, q)
+    | TStruct (s, q) -> TStruct (f s, q)
+    | TNamed (s, q) -> TNamed (f s, q)
+    | TFun (r, ps, va) -> TFun (ty r, params ps, va)
+  and params ps = List.map (fun (n, t) -> (f n, ty t)) ps in
+  let rec expr = function
+    | (EInt _ | EFloat _ | EChar _ | EString _) as e -> e
+    | EVar x -> EVar (f x)
+    | EUnop (o, e) -> EUnop (o, expr e)
+    | EBinop (o, a, b) -> EBinop (o, expr a, expr b)
+    | EAssign (a, b) -> EAssign (expr a, expr b)
+    | EAssignOp (o, a, b) -> EAssignOp (o, expr a, expr b)
+    | EIncDec (pre, inc, e) -> EIncDec (pre, inc, expr e)
+    | ECond (a, b, c) -> ECond (expr a, expr b, expr c)
+    | EComma (a, b) -> EComma (expr a, expr b)
+    | ECall (g, args) -> ECall (expr g, List.map expr args)
+    | EIndex (a, b) -> EIndex (expr a, expr b)
+    | EMember (e, x) -> EMember (expr e, f x)
+    | EArrow (e, x) -> EArrow (expr e, f x)
+    | ECast (t, e) -> ECast (ty t, expr e)
+    | ESizeofT t -> ESizeofT (ty t)
+    | ESizeofE e -> ESizeofE (expr e)
+    | EAddr e -> EAddr (expr e)
+    | EDeref e -> EDeref (expr e)
+    | EInitList es -> EInitList (List.map expr es)
+  in
+  let decl d =
+    {
+      d with
+      d_name = f d.d_name;
+      d_type = ty d.d_type;
+      d_init = Option.map expr d.d_init;
+    }
+  in
+  let rec stmt = function
+    | SExpr e -> SExpr (expr e)
+    | SDecl ds -> SDecl (List.map decl ds)
+    | SBlock ss -> SBlock (List.map stmt ss)
+    | SIf (e, a, b) -> SIf (expr e, stmt a, Option.map stmt b)
+    | SWhile (e, s) -> SWhile (expr e, stmt s)
+    | SDoWhile (s, e) -> SDoWhile (stmt s, expr e)
+    | SFor (i, c, step, b) ->
+        SFor (Option.map stmt i, Option.map expr c, Option.map expr step, stmt b)
+    | SReturn e -> SReturn (Option.map expr e)
+    | (SBreak | SContinue | SGoto _ | SNull) as s -> s
+    | SSwitch (e, s) -> SSwitch (expr e, stmt s)
+    | SCase (e, s) -> SCase (expr e, stmt s)
+    | SDefault s -> SDefault (stmt s)
+    | SLabel (l, s) -> SLabel (l, stmt s)
+  in
+  List.map
+    (function
+      | GVar d -> GVar (decl d)
+      | GFun fd ->
+          GFun
+            {
+              fd with
+              f_name = f fd.f_name;
+              f_ret = ty fd.f_ret;
+              f_params = params fd.f_params;
+              f_body = List.map stmt fd.f_body;
+            }
+      | GProto (n, t, l) -> GProto (f n, ty t, l)
+      | GTypedef (n, t, l) -> GTypedef (f n, ty t, l)
+      | GComp (tag, u, fs, l) -> GComp (f tag, u, params fs, l)
+      | GEnum (tag, items, l) ->
+          GEnum (f tag, List.map (fun (n, v) -> (f n, v)) items, l))
+    p

@@ -13,11 +13,14 @@
    and in strings, but not inside a character literal or right after a
    backslash in a string.
 
-   All scanner state lives in a per-call record, so concurrent calls from
-   several domains share nothing but immutable tables. Identifiers are
-   interned from source slices: the slice is hashed and compared in
-   place, and its name is allocated only on its first sighting in the
-   unit. Tokens and packed spans go straight into a {!Tokbuf.t}.
+   Scanner state lives in a per-call record. Identifiers are interned
+   from source slices straight into the process-wide {!Sym} table: the
+   slice is hashed and compared in place, and its name is allocated only
+   on its first sighting in the process. Each symbol owns one shared
+   token, so a name costs no allocation per occurrence. Tokens and
+   packed spans go straight into a {!Tokbuf.t}, together with the
+   unit's distinct identifiers. The symbol table and the token table
+   are shared, so calls must not run concurrently on several domains.
 
    Lexical errors are structured diagnostics (Diag.t). [tokenize] raises
    on the first error; the recovering [tokenize_partial] and
@@ -64,11 +67,8 @@ type st = {
       (* line and column where the current token, or the comment being
          skipped, began *)
   mutable sc : int;
-  (* intern table: open addressing over names, [""] marks a free slot *)
-  mutable keys : string array;
-  mutable vals : Ctoken.t array;
-  mutable used : int;
-  interns : (string, Ctoken.t) Hashtbl.t;
+  gen : int;  (* this scan's stamp in [seen] *)
+  mutable idents : Sym.t list;  (* distinct identifiers, newest first *)
   (* the token buffer under construction *)
   mutable toks : Ctoken.t array;
   mutable spans : int array;
@@ -143,62 +143,56 @@ let unterminated st ~code what =
 (* Identifier interning                                                *)
 (* ------------------------------------------------------------------ *)
 
-let hash_slice s i e =
-  let h = ref 0 in
-  for k = i to e - 1 do
-    h := (!h * 31) + Char.code (String.unsafe_get s k)
-  done;
-  !h lxor (!h lsr 17)
+(* symbol -> its unique token: a keyword's [KW_*], or the name's shared
+   [IDENT]; [EOF] marks a symbol not yet seen by the scanner *)
+let sym_toks = ref (Array.make 1024 EOF)
 
-let rec bytes_equal s i k j n =
-  j = n
-  || String.unsafe_get s (i + j) = String.unsafe_get k j
-     && bytes_equal s i k (j + 1) n
+(* symbol -> the generation of the last scan that listed it in its
+   [idents], so each scan collects its distinct identifiers without a
+   table of its own *)
+let seen = ref (Array.make 1024 0)
+let last_gen = ref 0
 
-let slice_equal s i e k =
-  String.length k = e - i && bytes_equal s i k 0 (e - i)
-
-(* place [name] in a free slot; the caller knows it is absent *)
-let rec place keys vals name tok i =
-  if String.length (Array.unsafe_get keys i) = 0 then begin
-    keys.(i) <- name;
-    vals.(i) <- tok
+let ensure_sym (s : Sym.t) =
+  let s = (s :> int) in
+  if s >= Array.length !sym_toks then begin
+    let cap = max (s + 1) (2 * Array.length !sym_toks) in
+    let t = Array.make cap EOF and g = Array.make cap 0 in
+    Array.blit !sym_toks 0 t 0 (Array.length !sym_toks);
+    Array.blit !seen 0 g 0 (Array.length !seen);
+    sym_toks := t;
+    seen := g
   end
-  else place keys vals name tok ((i + 1) land (Array.length keys - 1))
 
-let add_name st name tok =
-  if 2 * (st.used + 1) > Array.length st.keys then begin
-    let cap = 2 * Array.length st.keys in
-    let keys = Array.make cap "" and vals = Array.make cap EOF in
-    Array.iteri
-      (fun i k ->
-        if String.length k > 0 then
-          place keys vals k st.vals.(i)
-            (hash_slice k 0 (String.length k) land (cap - 1)))
-      st.keys;
-    st.keys <- keys;
-    st.vals <- vals
-  end;
-  place st.keys st.vals name tok
-    (hash_slice name 0 (String.length name) land (Array.length st.keys - 1));
-  st.used <- st.used + 1
+let () =
+  List.iter
+    (fun (k, tok) ->
+      let s = Sym.intern k in
+      ensure_sym s;
+      !sym_toks.((s :> int)) <- tok)
+    keywords
 
 (* the unique token of the name spelled by [src.[i..e-1]]: a keyword, or
-   the unit's shared IDENT for that name *)
-let rec probe st i e j =
-  let k = Array.unsafe_get st.keys j in
-  if String.length k = 0 then begin
-    let name = String.sub st.src i (e - i) in
-    let tok = IDENT name in
-    add_name st name tok;
-    Hashtbl.add st.interns name tok;
-    tok
-  end
-  else if slice_equal st.src i e k then Array.unsafe_get st.vals j
-  else probe st i e ((j + 1) land (Array.length st.keys - 1))
-
+   the shared IDENT for that name, which joins the scan's identifiers on
+   its first sighting in this scan *)
 let intern st i e =
-  probe st i e (hash_slice st.src i e land (Array.length st.keys - 1))
+  let s = Sym.intern_sub st.src i e in
+  ensure_sym s;
+  let k = (s :> int) in
+  match Array.unsafe_get !sym_toks k with
+  | IDENT _ as tok ->
+      if Array.unsafe_get !seen k <> st.gen then begin
+        Array.unsafe_set !seen k st.gen;
+        st.idents <- s :: st.idents
+      end;
+      tok
+  | EOF ->
+      let tok = IDENT s in
+      !sym_toks.(k) <- tok;
+      !seen.(k) <- st.gen;
+      st.idents <- s :: st.idents;
+      tok
+  | kw -> kw
 
 (* ------------------------------------------------------------------ *)
 (* Numbers                                                             *)
@@ -453,30 +447,21 @@ let create ?reuse src =
         (tb.Tokbuf.toks, tb.Tokbuf.spans)
     | _ -> (Array.make cap EOF, Array.make (2 * cap) 0)
   in
-  let st =
-    {
-      src;
-      len;
-      pos = 0;
-      lnum = 1;
-      bol = 0;
-      sl = 1;
-      sc = 1;
-      keys = Array.make 1024 "";
-      vals = Array.make 1024 EOF;
-      used = 0;
-      interns = Hashtbl.create 256;
-      toks;
-      spans;
-      n = 0;
-    }
-  in
-  List.iter
-    (fun (k, tok) ->
-      add_name st k tok;
-      Hashtbl.add st.interns k tok)
-    keywords;
-  st
+  incr last_gen;
+  {
+    src;
+    len;
+    pos = 0;
+    lnum = 1;
+    bol = 0;
+    sl = 1;
+    sc = 1;
+    gen = !last_gen;
+    idents = [];
+    toks;
+    spans;
+    n = 0;
+  }
 
 let push st tok =
   if st.n = Array.length st.toks then begin
@@ -543,7 +528,7 @@ let tokenize_buf ?(strict = false) ?(max_errors = 20) ?reuse (src : string) :
         else push_eof_here st
   in
   run ();
-  ( { Tokbuf.toks = st.toks; spans = st.spans; n = st.n; interns = st.interns },
+  ( { Tokbuf.toks = st.toks; spans = st.spans; n = st.n; idents = st.idents },
     List.rev !diags )
 
 (** Tokenize a whole source string, pairing each token with its span.

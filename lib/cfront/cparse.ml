@@ -18,8 +18,8 @@ type st = {
                            lazily, only on paths that report them *)
   t_len : int;
   mutable pos : int;
-  typedefs : (string, unit) Hashtbl.t;
-  enum_consts : (string, int) Hashtbl.t;
+  typedefs : unit Sym.Tbl.t;
+  enum_consts : int Sym.Tbl.t;
   mutable anon : int;
   recover : bool;
       (* panic-mode recovery: function bodies that fail to parse demote to
@@ -27,12 +27,15 @@ type st = {
   mutable diags : Diag.t list;  (* reverse order *)
   mutable n_diags : int;  (* List.length diags, maintained incrementally *)
   mutable degraded : (string * string) list;  (* (function, reason) *)
-  mutable new_typedefs : string list;
+  mutable new_typedefs : Sym.t list;
       (* typedef names registered while parsing, newest first: the unit's
          typedef exports, replayed into the link environment *)
-  mutable new_enums : (string * int) list;
+  mutable new_enums : (Sym.t * int) list;
       (* enum constants registered while parsing, newest first *)
-  mutable last_params : (string * Diag.span) list;
+  mutable minted : Sym.t list;
+      (* names the parser made up — anonymous tags, unnamed parameters —
+         newest first, possibly repeated *)
+  mutable last_params : (Sym.t * Diag.span) list;
       (* name spans of the parameter list parsed most recently — set by
          [parse_params] on completion, so after a declarator like
          [int foo(int a, char *b)] it holds a's and b's name spans. Inner
@@ -47,10 +50,10 @@ type st = {
    typedef-sensitive disambiguation match a whole-program parse. *)
 let make_state_tb ?(recover = false) ?(typedefs = []) ?(enums = [])
     ?(anon = 0) (tb : Tokbuf.t) =
-  let tds = Hashtbl.create 16 in
-  List.iter (fun n -> Hashtbl.replace tds n ()) typedefs;
-  let ecs = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace ecs n v) enums;
+  let tds = Sym.Tbl.create () in
+  List.iter (fun n -> Sym.Tbl.replace tds n ()) typedefs;
+  let ecs = Sym.Tbl.create () in
+  List.iter (fun (n, v) -> Sym.Tbl.replace ecs n v) enums;
   {
     t_toks = tb.Tokbuf.toks;
     t_spans = tb.Tokbuf.spans;
@@ -65,6 +68,7 @@ let make_state_tb ?(recover = false) ?(typedefs = []) ?(enums = [])
     degraded = [];
     new_typedefs = [];
     new_enums = [];
+    minted = [];
     last_params = [];
   }
 
@@ -116,18 +120,23 @@ let ident st =
       x
   | _ -> unexpected st "identifier"
 
+let mint st name =
+  let s = Sym.intern name in
+  st.minted <- s :: st.minted;
+  s
+
 let fresh_anon st prefix =
   st.anon <- st.anon + 1;
-  Printf.sprintf "%s$%d" prefix st.anon
+  mint st (Printf.sprintf "%s$%d" prefix st.anon)
 
-let is_typedef st name = Hashtbl.mem st.typedefs name
+let is_typedef st name = Sym.Tbl.mem st.typedefs name
 
 let register_typedef st name =
-  Hashtbl.replace st.typedefs name ();
+  Sym.Tbl.replace st.typedefs name ();
   st.new_typedefs <- name :: st.new_typedefs
 
 let register_enum_const st name v =
-  Hashtbl.replace st.enum_consts name v;
+  Sym.Tbl.replace st.enum_consts name v;
   st.new_enums <- (name, v) :: st.new_enums
 
 (* Does the current token start a type (decl-specs)? *)
@@ -302,7 +311,7 @@ let rec parse_decl_specs st (hoist : global list ref) : specs =
                           | INT_LIT n -> -n
                           | _ -> err st "expected integer in enum")
                       | IDENT y -> (
-                          match Hashtbl.find_opt st.enum_consts y with
+                          match Sym.Tbl.find_opt st.enum_consts y with
                           | Some n -> n
                           | None -> err st "unknown enum constant")
                       | _ -> err st "expected constant in enum"
@@ -382,7 +391,7 @@ and starts_spec_continuation st =
    wraps the base type into the declared type (the standard inside-out
    construction). *)
 and parse_declarator st (hoist : global list ref) :
-    (string * Diag.span) option * (ctype -> ctype) =
+    (Sym.t * Diag.span) option * (ctype -> ctype) =
   (* pointer prefix: each star may carry its own qualifiers *)
   let rec ptrs acc =
     match peek st with
@@ -435,9 +444,9 @@ and parse_declarator st (hoist : global list ref) :
           | INT_LIT n ->
               ignore (next st);
               Some n
-          | IDENT x when Hashtbl.mem st.enum_consts x ->
+          | IDENT x when Sym.Tbl.mem st.enum_consts x ->
               ignore (next st);
-              Some (Hashtbl.find st.enum_consts x)
+              Sym.Tbl.find_opt st.enum_consts x
           | RBRACKET -> None
           | _ ->
               (* skip a constant expression we do not evaluate *)
@@ -493,7 +502,7 @@ and is_nested_declarator st =
   | IDENT x -> not (is_typedef st x)
   | _ -> false
 
-and parse_params st hoist : (string * ctype) list * bool =
+and parse_params st hoist : (Sym.t * ctype) list * bool =
   let finish acc varargs =
     let params = List.rev acc in
     st.last_params <-
@@ -520,7 +529,7 @@ and parse_params st hoist : (string * ctype) list * bool =
             let name, sp =
               match name with
               | Some (n, sp) -> (n, Some sp)
-              | None -> (Printf.sprintf "$p%d" (List.length acc), None)
+              | None -> (mint st (Printf.sprintf "$p%d" (List.length acc)), None)
             in
             let acc = (name, t, sp) :: acc in
             if at st COMMA then begin
@@ -531,7 +540,7 @@ and parse_params st hoist : (string * ctype) list * bool =
       in
       go []
 
-and parse_fields st hoist : (string * ctype) list =
+and parse_fields st hoist : (Sym.t * ctype) list =
   expect st LBRACE;
   let fields = ref [] in
   while not (at st RBRACE) do
@@ -747,7 +756,7 @@ and parse_primary st hoist : expr =
       EString (Buffer.contents buf)
   | IDENT x -> (
       advance st;
-      match Hashtbl.find_opt st.enum_consts x with
+      match Sym.Tbl.find_opt st.enum_consts x with
       | Some n -> EInt n
       | None -> EVar x)
   | LPAREN ->
@@ -895,11 +904,11 @@ and parse_stmt st hoist : stmt =
       ignore (next st);
       let l = ident st in
       expect st SEMI;
-      SGoto l
+      SGoto (Sym.name l)
   | IDENT x when at2 st COLON && not (is_typedef st x) ->
       ignore (next st);
       ignore (next st);
-      SLabel (x, parse_stmt_or_null st hoist)
+      SLabel (Sym.name x, parse_stmt_or_null st hoist)
   | _ when starts_type st -> SDecl (parse_local_decl st hoist)
   | _ ->
       let e = parse_expr st hoist in
@@ -1001,7 +1010,7 @@ let parse_global st (hoist : global list ref) : global list =
             let param_locs =
               List.map
                 (fun (pname, _) ->
-                  match List.assoc_opt pname st.last_params with
+                  match List.assq_opt pname st.last_params with
                   | Some (sp : Diag.span) -> (sp.Diag.sl, sp.Diag.sc)
                   | None -> (0, 0))
                 params
@@ -1033,7 +1042,7 @@ let parse_global st (hoist : global list ref) : global list =
               | exception Parse_error (m, sp) ->
                   add_diag st (Diag.error ~code:"E0202" sp m);
                   st.degraded <-
-                    (fname, Printf.sprintf "body failed to parse: %s" m)
+                    (Sym.name fname, Printf.sprintf "body failed to parse: %s" m)
                     :: st.degraded;
                   st.pos <- brace;
                   skip_balanced_braces st;
@@ -1196,8 +1205,8 @@ let parse_program_partial ?(max_errors = 20) (src : string) : presult =
     running anonymous-tag counter, and the number of diagnostics those
     units already consumed from the run's error budget. *)
 type useed = {
-  us_typedefs : string list;
-  us_enums : (string * int) list;
+  us_typedefs : Sym.t list;
+  us_enums : (Sym.t * int) list;
   us_anon : int;
   us_count_base : int;
 }
@@ -1207,15 +1216,19 @@ let empty_seed =
 
 type uresult = {
   ur_pr : presult;
-  ur_typedefs : string list;
+  ur_typedefs : Sym.t list;
       (** typedef names this unit registered, in registration order *)
-  ur_enums : (string * int) list;
+  ur_enums : (Sym.t * int) list;
       (** enum constants this unit registered, in registration order *)
   ur_anon : int;  (** anonymous struct/union/enum tags this unit created *)
-  ur_idents : string list;
+  ur_idents : Sym.t list;
       (** distinct identifiers lexed from the unit: the link step's
           evidence that a speculative (unseeded) parse could not have
           been influenced by earlier units' exports *)
+  ur_minted : Sym.t list;
+      (** distinct names the parser made up (anonymous tags, unnamed
+          parameters); with [ur_idents], every symbol the result
+          carries *)
   ur_first_span : Diag.span;
       (** span of the unit's first token — where a whole-program parse
           would report "too many errors" if the budget ran out exactly at
@@ -1253,7 +1266,20 @@ let parse_unit ?(max_errors = 20) ?(seed = empty_seed) (tb : Tokbuf.t)
     ur_typedefs = List.rev st.new_typedefs;
     ur_enums = List.rev st.new_enums;
     ur_anon = st.anon - seed.us_anon;
-    ur_idents = Tokbuf.ident_names tb;
+    ur_idents = tb.Tokbuf.idents;
+    ur_minted = List.sort_uniq Sym.compare st.minted;
     ur_first_span = first_span;
     ur_capped = capped;
+  }
+
+(** The result with every symbol mapped through [f] (see
+    {!Cast.map_program}). *)
+let map_uresult (f : Sym.t -> Sym.t) (r : uresult) : uresult =
+  {
+    r with
+    ur_pr = { r.ur_pr with pr_prog = Cast.map_program f r.ur_pr.pr_prog };
+    ur_typedefs = List.map f r.ur_typedefs;
+    ur_enums = List.map (fun (n, v) -> (f n, v)) r.ur_enums;
+    ur_idents = List.map f r.ur_idents;
+    ur_minted = List.map f r.ur_minted;
   }

@@ -7,69 +7,52 @@
 open Cast
 
 type t = {
-  typedefs : (string, ctype) Hashtbl.t;
-  comps : (string, (string * ctype) list) Hashtbl.t;  (* struct/union tag -> fields *)
-  fundefs : (string, fundef) Hashtbl.t;
-  protos : (string, ctype) Hashtbl.t;  (* declared but possibly undefined *)
-  globals : (string, decl) Hashtbl.t;
+  typedefs : ctype Sym.Tbl.t;
+  comps : (Sym.t * ctype) list Sym.Tbl.t;  (* struct/union tag -> fields *)
+  comp_tags : Sym.t list;  (* tags of [comps], first definition first *)
+  fundefs : fundef Sym.Tbl.t;
+  protos : ctype Sym.Tbl.t;  (* declared but possibly undefined *)
+  globals : decl Sym.Tbl.t;
   order : global list;  (* original order *)
 }
 
 exception Frontend_error of string
 
-let build (prog : program) : t =
-  let t =
-    {
-      typedefs = Hashtbl.create 16;
-      comps = Hashtbl.create 16;
-      fundefs = Hashtbl.create 16;
-      protos = Hashtbl.create 16;
-      globals = Hashtbl.create 16;
-      order = prog;
-    }
-  in
+(** Link unit programs into one whole-program table: one write pass over
+    the units' globals in unit order. Typedefs, struct/union layouts,
+    function definitions and global variables resolve
+    last-definition-wins, while prototypes keep the first declaration. *)
+let merge (units : program list) : t =
+  let typedefs = Sym.Tbl.create ()
+  and comps = Sym.Tbl.create ()
+  and fundefs = Sym.Tbl.create ()
+  and protos = Sym.Tbl.create ()
+  and globals = Sym.Tbl.create () in
+  let comp_tags = ref [] in
   List.iter
-    (function
-      | GTypedef (name, ty, _) -> Hashtbl.replace t.typedefs name ty
-      | GComp (tag, _, fields, _) -> Hashtbl.replace t.comps tag fields
-      | GFun f -> Hashtbl.replace t.fundefs f.f_name f
+    (List.iter (function
+      | GTypedef (name, ty, _) -> Sym.Tbl.replace typedefs name ty
+      | GComp (tag, _, fields, _) ->
+          if not (Sym.Tbl.mem comps tag) then comp_tags := tag :: !comp_tags;
+          Sym.Tbl.replace comps tag fields
+      | GFun f -> Sym.Tbl.replace fundefs f.f_name f
       | GProto (name, ty, _) ->
-          if not (Hashtbl.mem t.protos name) then Hashtbl.replace t.protos name ty
-      | GVar d -> Hashtbl.replace t.globals d.d_name d
-      | GEnum _ -> ())
-    prog;
-  t
-
-(** Link per-unit tables into one whole-program table, in unit order.
-    Deterministically equivalent to {!build} over the concatenation of
-    the units' globals: typedefs, struct/union layouts, function
-    definitions and global variables resolve last-definition-wins, while
-    prototypes keep the first declaration — each per-unit table has
-    already collapsed its within-unit duplicates the same way, so a
-    cross-unit table fold in file order reproduces the sequential scan. *)
-let merge (units : t list) : t =
-  let t =
-    {
-      typedefs = Hashtbl.create 64;
-      comps = Hashtbl.create 64;
-      fundefs = Hashtbl.create 64;
-      protos = Hashtbl.create 64;
-      globals = Hashtbl.create 64;
-      order = List.concat_map (fun u -> u.order) units;
-    }
-  in
-  List.iter
-    (fun u ->
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.typedefs k v) u.typedefs;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.comps k v) u.comps;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.fundefs k v) u.fundefs;
-      Hashtbl.iter
-        (fun k v ->
-          if not (Hashtbl.mem t.protos k) then Hashtbl.replace t.protos k v)
-        u.protos;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.globals k v) u.globals)
+          if not (Sym.Tbl.mem protos name) then Sym.Tbl.replace protos name ty
+      | GVar d -> Sym.Tbl.replace globals d.d_name d
+      | GEnum _ -> ()))
     units;
-  t
+  {
+    typedefs;
+    comps;
+    comp_tags = List.rev !comp_tags;
+    fundefs;
+    protos;
+    globals;
+    order = (match units with [ u ] -> u | _ -> List.concat units);
+  }
+
+(** The tables of one translation unit. *)
+let build (prog : program) : t = merge [ prog ]
 
 (** Expand typedefs away (macro-expansion semantics, Section 4.2): the
     qualifiers written on the use site are merged with the definition's.
@@ -77,9 +60,9 @@ let merge (units : t list) : t =
 let rec expand t (ty : ctype) : ctype =
   match ty with
   | TNamed (name, q) -> (
-      match Hashtbl.find_opt t.typedefs name with
+      match Sym.Tbl.find_opt t.typedefs name with
       | Some def -> expand t (add_quals q def)
-      | None -> raise (Frontend_error ("unknown typedef " ^ name)))
+      | None -> raise (Frontend_error ("unknown typedef " ^ Sym.name name)))
   | TPtr (inner, q) -> TPtr (expand t inner, q)
   | TArray (inner, n, q) -> TArray (expand t inner, n, q)
   | TFun (ret, params, va) ->
@@ -105,16 +88,16 @@ let return_type t = function
   | _ -> raise (Frontend_error "return_type: not a function type")
 
 let fields t tag =
-  match Hashtbl.find_opt t.comps tag with
+  match Sym.Tbl.find_opt t.comps tag with
   | Some fs -> List.map (fun (n, ft) -> (n, expand t ft)) fs
   | None -> []
 
-let find_fun t name = Hashtbl.find_opt t.fundefs name
-let is_defined t name = Hashtbl.mem t.fundefs name
+let find_fun t name = Sym.Tbl.find_opt t.fundefs name
+let is_defined t name = Sym.Tbl.mem t.fundefs name
 
 (** Declared (prototype) type of a function not defined in this program:
     the paper's "library function" case (Section 4.2). *)
-let find_proto t name = Hashtbl.find_opt t.protos name
+let find_proto t name = Sym.Tbl.find_opt t.protos name
 
 let functions t =
   List.filter_map (function GFun f -> Some f | _ -> None) t.order
@@ -124,4 +107,8 @@ let global_vars t =
 
 (** Count physical source lines (for Table 1-style reporting). *)
 let count_lines src =
-  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 1 src
+  let n = ref 1 in
+  for i = 0 to String.length src - 1 do
+    if String.unsafe_get src i = '\n' then incr n
+  done;
+  !n

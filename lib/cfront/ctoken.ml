@@ -10,7 +10,7 @@ type t =
   | FLOAT_LIT of float
   | CHAR_LIT of char
   | STRING_LIT of string
-  | IDENT of string
+  | IDENT of Sym.t  (** interned: one shared token per name *)
   | QUALNAME of string  (** [$tainted] etc. — Section 2.5 user qualifiers *)
   (* keywords *)
   | KW_VOID
@@ -100,7 +100,7 @@ let to_string = function
   | FLOAT_LIT f -> string_of_float f
   | CHAR_LIT c -> Printf.sprintf "%C" c
   | STRING_LIT s -> Printf.sprintf "%S" s
-  | IDENT s -> s
+  | IDENT s -> Sym.name s
   | QUALNAME s -> "$" ^ s
   | KW_VOID -> "void"
   | KW_CHAR -> "char"

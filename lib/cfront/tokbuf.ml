@@ -3,13 +3,13 @@
     A [(Ctoken.t * Diag.span) list] costs a cons cell, a tuple and a
     span record per token, ~14 words each, which dominates frontend
     allocation on million-line corpora. A [Tokbuf.t] instead holds one
-    pointer array of tokens (identifiers interned, so each distinct name
-    owns a single boxed [IDENT]) and one flat [int array] of packed span
-    endpoints; span records are rebuilt lazily, only on the paths that
-    report them.
+    pointer array of tokens (identifiers interned as {!Sym.t}, so each
+    distinct name owns a single boxed [IDENT]) and one flat [int array]
+    of packed span endpoints; span records are rebuilt lazily, only on
+    the paths that report them.
 
-    The intern table doubles as the unit's identifier set: the link step
-    of the per-unit frontend asks {!mentions} to decide whether a
+    The buffer also lists the unit's distinct identifiers: the link step
+    of the per-unit frontend checks them to decide whether a
     speculatively parsed unit could have been influenced by typedef or
     enum-constant names exported by earlier units (see DESIGN.md
     "Per-unit frontend"). *)
@@ -20,9 +20,9 @@ type t = {
       (** 2 ints per token: the packed start ([sl], [sc]) and end ([el],
           [ec]) positions, see {!pack} *)
   n : int;
-  interns : (string, Ctoken.t) Hashtbl.t;
-      (** name -> its unique token: keywords map to their [KW_*], every
-          identifier seen in this unit maps to its shared [IDENT] *)
+  idents : Sym.t list;
+      (** the distinct identifiers lexed from the unit (keywords
+          excluded), newest first *)
 }
 
 (* One position per int: the line above [col_bits], the column below.
@@ -52,22 +52,6 @@ let line_of (spans : int array) i = spans.(2 * i) lsr col_bits
 let span t i = span_of t.spans i
 
 let line t i = line_of t.spans i
-
-(** Did this unit's source mention [name] as an identifier? Keywords map
-    to keyword tokens, so they never answer [true]. *)
-let mentions t name =
-  match Hashtbl.find_opt t.interns name with
-  | Some (Ctoken.IDENT _) -> true
-  | _ -> false
-
-(** Distinct identifier names lexed from the unit, in no particular
-    order — the persistent form of {!mentions} carried by the per-unit
-    AST cache payload (the intern table itself is not marshaled). *)
-let ident_names t =
-  Hashtbl.fold
-    (fun name tok acc ->
-      match tok with Ctoken.IDENT _ -> name :: acc | _ -> acc)
-    t.interns []
 
 (** The tokens paired with their spans, for list-based consumers. *)
 let to_list t =

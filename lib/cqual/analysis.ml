@@ -219,13 +219,18 @@ type par_stats = {
   ps_merge_s : float;
 }
 
+(** A struct's shared field cells, slot by slot in declaration order. *)
+type fields = { fnames : Sym.t array; fcells : cell array }
+
 type env = {
   store : Solver.t;
   prog : Cprog.t;
   mode : mode;
-  fields : (string, (string * cell) list) Hashtbl.t;
-  funs : (string, fentry) Hashtbl.t;
-  globals : (string, cell) Hashtbl.t;
+  fields : fields Sym.Tbl.t;  (** struct/union tag -> its field cells *)
+  funs : fentry Sym.Tbl.t;
+  globals : cell Sym.Tbl.t;  (** declared global variables *)
+  autos : cell Sym.Tbl.t;
+      (** auto-declared globals: identifiers used without a declaration *)
   rules : qrules;
   mutable warnings : string list;
   late_mono : (int, unit) Hashtbl.t;
@@ -234,7 +239,7 @@ type env = {
   field_sharing : bool;
       (** Section 4.2 field sharing; [false] only for the ablation study:
           every struct access then gets fresh field cells *)
-  outcomes : (string, outcome) Hashtbl.t;  (** per defined function *)
+  outcomes : outcome Sym.Tbl.t;  (** per defined function *)
   budget : Budget.t option;
       (** resource guard; exhaustion degrades remaining functions *)
   par : par_stats option;
@@ -246,13 +251,13 @@ type env = {
           behaviour — reports are identical either way, only the
           constraint-system size differs *)
   shapes : Shape.table;  (** hash-consed r-type skeletons, per store *)
-  imemo : (int * string * (int * int list) list, fsig) Hashtbl.t;
+  imemo : (int * int * (int * int list) list, fsig) Hashtbl.t;
       (** instantiation memo: (scheme id, callee, per-argument
           (shape id, qualifier-variable uids)) -> the shared instance.
           Valid only within one recording session — every session
           boundary resets it, so a memo hit always names an instance
           whose atoms were captured into the current recording. *)
-  memo_ok : (int * string, memo_verdict) Hashtbl.t;
+  memo_ok : (int * int, memo_verdict) Hashtbl.t;
       (** cached sharing eligibility per (scheme id, callee); see
           {!memo_verdict} *)
   fdg : Fdg.t Lazy.t;
@@ -267,12 +272,11 @@ let warn env msg = env.warnings <- msg :: env.warnings
 (* Fault isolation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let degrade env name reason =
-  Hashtbl.replace env.outcomes name (Degraded reason)
+let degrade env name reason = Sym.Tbl.replace env.outcomes name (Degraded reason)
 
 let mark_analyzed env name =
-  if not (Hashtbl.mem env.outcomes name) then
-    Hashtbl.replace env.outcomes name Analyzed
+  if not (Sym.Tbl.mem env.outcomes name) then
+    Sym.Tbl.replace env.outcomes name Analyzed
 
 let budget_reason env =
   match env.budget with Some b -> Budget.exhausted b | None -> None
@@ -308,55 +312,74 @@ let seed env = env.rules.qr_seed env.store
 (* Shared struct field tables (Section 4.2)                            *)
 (* ------------------------------------------------------------------ *)
 
-let field_cells env tag : (string * cell) list =
-  match Hashtbl.find_opt env.fields tag with
+let fields_of env ~name tag =
+  let fs = Cprog.fields env.prog tag in
+  {
+    fnames = Array.of_list (List.map fst fs);
+    fcells =
+      Array.of_list
+        (List.map
+           (fun (f, ft) -> cell_of_ctype ~name:(name f) ~seed:(seed env) env.store ft)
+           fs);
+  }
+
+let no_fields = { fnames = [||]; fcells = [||] }
+
+let field_cells env tag : fields =
+  match Sym.Tbl.find_opt env.fields tag with
   | Some fs when env.field_sharing -> fs
   | Some _ ->
       (* ablation: fresh cells per access site, no sharing *)
-      List.map
-        (fun (name, ft) ->
-          (name, cell_of_ctype ~name ~seed:(seed env) env.store ft))
-        (Cprog.fields env.prog tag)
+      fields_of env ~name:Sym.name tag
   | None ->
       (* install a placeholder first so recursive structs terminate *)
-      Hashtbl.replace env.fields tag [];
+      Sym.Tbl.replace env.fields tag no_fields;
       let fs =
-        List.map
-          (fun (name, ft) ->
-            ( name,
-              cell_of_ctype
-                ~name:(tag ^ "." ^ name)
-                ~seed:(seed env) env.store ft ))
-          (Cprog.fields env.prog tag)
+        fields_of env
+          ~name:(fun f -> Sym.name tag ^ "." ^ Sym.name f)
+          tag
       in
-      Hashtbl.replace env.fields tag fs;
+      Sym.Tbl.replace env.fields tag fs;
       fs
 
-let find_field env tag fname = List.assoc_opt fname (field_cells env tag)
+let rec slot_of fs fname i =
+  if i = Array.length fs.fnames then None
+  else if Sym.equal fs.fnames.(i) fname then Some fs.fcells.(i)
+  else slot_of fs fname (i + 1)
+
+(* the cell in the first slot named [fname] *)
+let find_field env tag fname = slot_of (field_cells env tag) fname 0
 
 (* ------------------------------------------------------------------ *)
 (* Scopes                                                              *)
 (* ------------------------------------------------------------------ *)
 
 type scope = {
-  mutable locals : (string * cell) list;
+  mutable locals : (Sym.t * cell) list;
+      (** innermost first; symbols are immediate, so [assq] compares ids *)
   ret : rt;  (** current function's return r-type *)
 }
 
-let lookup_var env scope x : cell option =
-  match List.assoc_opt x scope.locals with
+(* a declared variable: a local, else a declared global *)
+let declared_var env scope x : cell option =
+  match List.assq_opt x scope.locals with
   | Some c -> Some c
-  | None -> Hashtbl.find_opt env.globals x
+  | None -> Sym.Tbl.find_opt env.globals x
+
+let lookup_var env scope x : cell option =
+  match declared_var env scope x with
+  | Some c -> Some c
+  | None -> Sym.Tbl.find_opt env.autos x
 
 (* Undeclared identifiers (K&R implicit, or benchmarks referencing symbols
    from headers we do not have): auto-declare as an int global so repeated
    uses alias. *)
 let auto_global env x =
-  match Hashtbl.find_opt env.globals x with
+  match Sym.Tbl.find_opt env.autos x with
   | Some c -> c
   | None ->
-      let c = fresh_cell ~name:("auto_" ^ x) env.store RBase in
-      Hashtbl.replace env.globals x c;
+      let c = fresh_cell ~name:("auto_" ^ Sym.name x) env.store RBase in
+      Sym.Tbl.replace env.autos x c;
       Hashtbl.replace env.late_mono (Solver.var_id c.q) ();
       c
 
@@ -393,8 +416,7 @@ let lib_sig env name : fsig option =
     is the declared parameter type, each level's declared qualifiers are
     passed to the rule (e.g. const-declared levels are exempt from
     non-const forcing). *)
-let rec force_escape env ?(decl : Cast.ctype option) (r : rt) ~reason =
-  ignore reason;
+let rec force_escape env ?(decl : Cast.ctype option) (r : rt) =
   match r with
   | RBase | RVoid | RStruct _ -> ()
   | RFun _ -> ()
@@ -406,20 +428,18 @@ let rec force_escape env ?(decl : Cast.ctype option) (r : rt) ~reason =
       in
       let declared = Option.map Cast.quals_of target_decl in
       env.rules.qr_escape env.store ~declared c.q;
-      force_escape env ?decl:target_decl c.contents ~reason
+      force_escape env ?decl:target_decl c.contents
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let assign_to env (c : cell) ~reason =
-  (* the (Assign') choice point: rules restrict the assigned ref *)
-  ignore reason;
-  env.rules.qr_write env.store c.q
+(* the (Assign') choice point: rules restrict the assigned ref *)
+let assign_to env (c : cell) = env.rules.qr_write env.store c.q
 
 (* instantiate a defined function for one occurrence *)
 let fun_occurrence env name : fsig option =
-  match Hashtbl.find_opt env.funs name with
+  match Sym.Tbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let rn = Solver.instantiate env.store sch in
@@ -442,8 +462,8 @@ let fun_occurrence env name : fsig option =
    receives no call-site inflow, so it keeps its scheme-internal bounds —
    pinning it too would reject every function that increments a pointer
    parameter. Cached per (scheme, callee). *)
-let memo_verdict env sch (s : fsig) name =
-  let key = (Solver.scheme_id sch, name) in
+let memo_verdict env sch (s : fsig) (name : Sym.t) =
+  let key = (Solver.scheme_id sch, (name :> int)) in
   match Hashtbl.find_opt env.memo_ok key with
   | Some v -> v
   | None ->
@@ -486,8 +506,8 @@ let memo_verdict env sch (s : fsig) name =
    solutions of named program variables and the violation set are
    unchanged (the skipped copy's atoms never violate, and its fresh
    variables are unobservable). *)
-let fun_call_occurrence env name (arg_rts : rt list) : fsig option =
-  match Hashtbl.find_opt env.funs name with
+let fun_call_occurrence env (name : Sym.t) (arg_rts : rt list) : fsig option =
+  match Sym.Tbl.find_opt env.funs name with
   | Some (FMono s) -> Some s
   | Some (FPoly (sch, s)) ->
       let instantiate () =
@@ -511,7 +531,7 @@ let fun_call_occurrence env name (arg_rts : rt list) : fsig option =
                     List.map Solver.var_uid (rt_qvars r) ))
                 arg_rts
             in
-            let key = (Solver.scheme_id sch, name, arg_key) in
+            let key = (Solver.scheme_id sch, (name :> int), arg_key) in
             match Hashtbl.find_opt env.imemo key with
             | Some inst ->
                 Solver.note_memo_hit env.store;
@@ -581,7 +601,9 @@ and member_cell env (parent : cell) fname : cell =
   | RStruct tag -> (
       match find_field env tag fname with
       | Some fc ->
-          let g = fresh_cell ~name:("access_" ^ fname) env.store fc.contents in
+          let g =
+            fresh_cell ~name:("access_" ^ Sym.name fname) env.store fc.contents
+          in
           Solver.add_leq_vv ~reason:"field qualifier" env.store fc.q g.q;
           Solver.add_leq_vv ~reason:"enclosing struct qualifier" env.store
             parent.q g.q;
@@ -622,18 +644,18 @@ and rvalue env scope (e : Cast.expr) : rt =
       | _ -> RBase)
   | EAssign (lhs, rhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"assignment target (Assign')";
+      assign_to env c;
       let rr = rvalue env scope rhs in
       sub ~reason:"assignment flow" env.store rr c.contents;
       c.contents
   | EAssignOp (_, lhs, rhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"compound assignment target (Assign')";
+      assign_to env c;
       ignore (rvalue env scope rhs);
       c.contents
   | EIncDec (_, _, lhs) ->
       let c = lvalue env scope lhs in
-      assign_to env c ~reason:"++/-- target (Assign')";
+      assign_to env c;
       c.contents
   | ECond (g, a, b) -> (
       ignore (rvalue env scope g);
@@ -679,8 +701,16 @@ and call env scope callee args : rt =
        "we simply ignore extra arguments") *)
     s.fs_ret
   in
+  (* a name in scope is a function pointer, unless it is a function
+     designator: a prototype written inside a body names the external
+     function, so the call resolves as a direct call *)
+  let direct fname =
+    match declared_var env scope fname with
+    | None | Some { contents = RFun _; _ } -> true
+    | Some _ -> false
+  in
   match callee with
-  | EVar fname -> (
+  | EVar fname when direct fname -> (
       match fun_call_occurrence env fname arg_rts with
       | Some s -> link_sig s
       | None -> (
@@ -699,9 +729,7 @@ and call env scope callee args : rt =
                 | [] -> ()
                 | r :: rs ->
                     (match List.nth_opt ds i with
-                    | Some d ->
-                        force_escape env ~decl:d r
-                          ~reason:("argument to library function " ^ fname)
+                    | Some d -> force_escape env ~decl:d r
                     | None ->
                         (* extra (variadic) arguments are ignored,
                            Section 4.2 *)
@@ -712,23 +740,18 @@ and call env scope callee args : rt =
               s.fs_ret
           | None ->
               (* no prototype at all: every pointer argument is conservative *)
-              warn env ("call to undeclared function " ^ fname);
-              List.iter
-                (fun r ->
-                  force_escape env r
-                    ~reason:("argument to undeclared function " ^ fname))
-                arg_rts;
+              warn env ("call to undeclared function " ^ Sym.name fname);
+              List.iter (fun r -> force_escape env r) arg_rts;
               RBase))
   | _ -> (
-      (* call through an expression: function pointer *)
+      (* call through an expression or a declared pointer variable (a
+         local or global shadows any function of the same name): a
+         function pointer *)
       match rvalue env scope callee with
       | RFun s -> link_sig s
       | RPtr { contents = RFun s; _ } -> link_sig s
       | _ ->
-          List.iter
-            (fun r ->
-              force_escape env r ~reason:"argument through unknown pointer")
-            arg_rts;
+          List.iter (fun r -> force_escape env r) arg_rts;
           RBase)
 
 (* ------------------------------------------------------------------ *)
@@ -738,12 +761,11 @@ and call env scope callee args : rt =
 let rec init_into env scope (c : cell) (e : Cast.expr) =
   match (e, c.contents) with
   | EInitList items, RStruct tag ->
-      let fields = field_cells env tag in
+      let fs = field_cells env tag in
       List.iteri
         (fun i item ->
-          match List.nth_opt fields i with
-          | Some (_, fc) -> init_into env scope fc item
-          | None -> ignore (rvalue env scope item))
+          if i < Array.length fs.fcells then init_into env scope fs.fcells.(i) item
+          else ignore (rvalue env scope item))
         items
   | EInitList items, RPtr elem ->
       (* array initializer: every item flows into the element cell *)
@@ -756,7 +778,7 @@ let rec init_into env scope (c : cell) (e : Cast.expr) =
 
 let declare_local env scope (d : Cast.decl) =
   let ty = Cprog.expand env.prog d.d_type in
-  let c = cell_of_ctype ~name:d.d_name ~seed:(seed env) env.store ty in
+  let c = cell_of_ctype ~name:(Sym.name d.d_name) ~seed:(seed env) env.store ty in
   scope.locals <- (d.d_name, c) :: scope.locals;
   match d.d_init with Some e -> init_into env scope c e | None -> ()
 
@@ -819,14 +841,15 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     store;
     prog;
     mode;
-    fields = Hashtbl.create 16;
-    funs = Hashtbl.create 64;
-    globals = Hashtbl.create 64;
+    fields = Sym.Tbl.create ();
+    funs = Sym.Tbl.create ();
+    globals = Sym.Tbl.create ();
+    autos = Sym.Tbl.create ();
     rules;
     warnings = [];
     late_mono = Hashtbl.create 16;
     field_sharing;
-    outcomes = Hashtbl.create 16;
+    outcomes = Sym.Tbl.create ();
     budget;
     par = None;
     compact;
@@ -861,26 +884,28 @@ let timed_phase env ph f =
 let build_global_env env =
   List.iter
     (fun (d : Cast.decl) ->
+      let name = Sym.name d.d_name in
       try
         let ty = Cprog.expand env.prog d.d_type in
-        Hashtbl.replace env.globals d.d_name
-          (cell_of_ctype ~name:d.d_name ~seed:(seed env) env.store ty)
+        Sym.Tbl.replace env.globals d.d_name
+          (cell_of_ctype ~name ~seed:(seed env) env.store ty)
       with Cprog.Frontend_error m ->
         (* e.g. the typedef's definition was lost to a parse error: the
            global keeps a fresh unconstrained cell so uses still alias *)
         warn env
-          (Printf.sprintf "global %s: %s; treated as unconstrained" d.d_name m);
-        Hashtbl.replace env.globals d.d_name
-          (fresh_cell ~name:d.d_name env.store RBase))
+          (Printf.sprintf "global %s: %s; treated as unconstrained" name m);
+        Sym.Tbl.replace env.globals d.d_name
+          (fresh_cell ~name env.store RBase))
     (Cprog.global_vars env.prog);
-  Hashtbl.iter
-    (fun tag _ ->
+  (* struct tags in first-definition order *)
+  List.iter
+    (fun tag ->
       try ignore (field_cells env tag)
       with Cprog.Frontend_error m ->
         warn env
-          (Printf.sprintf "struct %s: %s; fields treated as unconstrained" tag
-             m))
-    env.prog.Cprog.comps
+          (Printf.sprintf "struct %s: %s; fields treated as unconstrained"
+             (Sym.name tag) m))
+    env.prog.Cprog.comp_tags
 
 let analyze_global_inits env =
   (* initializer calls instantiate outside any recording: a fresh memo
@@ -893,20 +918,20 @@ let analyze_global_inits env =
         (fun (d : Cast.decl) ->
           match d.d_init with
           | Some e -> (
-              match Hashtbl.find_opt env.globals d.d_name with
+              match Sym.Tbl.find_opt env.globals d.d_name with
               | Some c -> (
                   try init_into env scope c e
                   with Cprog.Frontend_error m ->
                     warn env
                       (Printf.sprintf "initializer of %s: %s; ignored"
-                         d.d_name m))
+                         (Sym.name d.d_name) m))
               | None -> ())
           | None -> ())
         (Cprog.global_vars env.prog))
 
 (** Monomorphic const inference (the "Mono" column of Table 2). *)
 let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
+    env * (Sym.t * fsig) list =
   let env = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
   build_global_env env;
   let funs = Cprog.functions prog in
@@ -919,7 +944,7 @@ let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
           (fun (f : Cast.fundef) ->
             match guarded env f.f_name (fun () -> iface_of_fundef env f) with
             | Some s ->
-                Hashtbl.replace env.funs f.f_name (FMono s);
+                Sym.Tbl.replace env.funs f.f_name (FMono s);
                 Some (f.f_name, s)
             | None -> None)
           funs)
@@ -928,7 +953,7 @@ let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
   timed_phase env Solver.Congen (fun () ->
       List.iter
         (fun (f : Cast.fundef) ->
-          match Hashtbl.find_opt env.funs f.f_name with
+          match Sym.Tbl.find_opt env.funs f.f_name with
           | Some (FMono s) ->
               ignore (guarded env f.f_name (fun () -> analyze_body env f s))
           | _ -> ())
@@ -1009,7 +1034,7 @@ let register_member_schemes env sch (scc_ifaces : (Cast.fundef * fsig) list) =
   List.iter
     (fun ((f : Cast.fundef), s) ->
       let sch_m = if multi then member_scheme env sch s else sch in
-      Hashtbl.replace env.funs f.f_name (FPoly (sch_m, s)))
+      Sym.Tbl.replace env.funs f.f_name (FPoly (sch_m, s)))
     scc_ifaces
 
 (* Process one SCC (Poly): interfaces first so mutual recursion links
@@ -1027,7 +1052,7 @@ let poly_scc env ~is_global ~simplify members : (Cast.fundef * fsig) list =
               List.map
                 (fun (f : Cast.fundef) ->
                   let s = iface_of_fundef env f in
-                  Hashtbl.replace env.funs f.f_name (FMono s);
+                  Sym.Tbl.replace env.funs f.f_name (FMono s);
                   (f, s))
                 members
             in
@@ -1060,10 +1085,10 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
     ~(process :
        env ->
        is_global:(Solver.var -> bool) ->
-       string list ->
+       Sym.t list ->
        Cast.fundef list ->
        (Cast.fundef * fsig) list) (prog : Cprog.t) :
-    env * (string * fsig) list =
+    env * (Sym.t * fsig) list =
   let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
   build_global_env env;
   (* variables created so far (globals, struct fields) are monomorphic,
@@ -1078,7 +1103,7 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
     List.iter
       (fun (f : Cast.fundef) ->
         degrade env f.f_name reason;
-        Hashtbl.remove env.funs f.f_name)
+        Sym.Tbl.remove env.funs f.f_name)
       members
   in
   List.iter
@@ -1106,7 +1131,7 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
     the FDG processed callees-first; each SCC's constraints are captured
     and generalized into one scheme shared by its members. *)
 let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
-    (prog : Cprog.t) : env * (string * fsig) list =
+    (prog : Cprog.t) : env * (Sym.t * fsig) list =
   run_sccs ?rules ?field_sharing ?compact ?budget Poly prog
     ~process:(fun env ~is_global _ members ->
       poly_scc env ~is_global ~simplify members)
@@ -1172,7 +1197,7 @@ let polyrec_scc env ~is_global prog scc members : (Cast.fundef * fsig) list =
                 List.map
                   (fun (f : Cast.fundef) ->
                     let s = iface_of_fundef env f in
-                    Hashtbl.replace env.funs f.f_name (FMono s);
+                    Sym.Tbl.replace env.funs f.f_name (FMono s);
                     (f, s))
                   members
               in
@@ -1188,7 +1213,7 @@ let polyrec_scc env ~is_global prog scc members : (Cast.fundef * fsig) list =
       (fun (f : Cast.fundef) ->
         let sk = iface_of_fundef env f in
         let sch0 = Solver.make_scheme ~locals:(rt_qvars (RFun sk)) ~atoms:[] in
-        Hashtbl.replace env.funs f.f_name (FPoly (sch0, sk)))
+        Sym.Tbl.replace env.funs f.f_name (FPoly (sch0, sk)))
       members;
     let rec iterate prev_summaries round =
       (* bodies analyzed against the PREVIOUS round's schemes: in-SCC
@@ -1215,7 +1240,7 @@ let polyrec_scc env ~is_global prog scc members : (Cast.fundef * fsig) list =
     and the iteration is capped (the cap is never reached in practice;
     the fixed point typically arrives by the second round). *)
 let run_polyrec ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (string * fsig) list =
+    env * (Sym.t * fsig) list =
   run_sccs ?rules ?field_sharing ?compact ?budget Polyrec prog
     ~process:(fun env ~is_global scc members ->
       polyrec_scc env ~is_global prog scc members)

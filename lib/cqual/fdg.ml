@@ -12,9 +12,9 @@ open Cfront
 
 (* The graph on dense vertex ids: a function's id is the position of its
    name's first definition in program order, and a name defined twice
-   keeps its last body (last definition wins, as in {!Cprog.build}). *)
+   keeps its last body (last definition wins, as in {!Cprog.merge}). *)
 type graph = {
-  names : string array;  (** id -> function name *)
+  names : Sym.t array;  (** id -> function name *)
   succ : int array array;
       (** id -> the other defined functions its body mentions, in name
           order *)
@@ -23,22 +23,22 @@ type graph = {
 }
 
 type t = {
-  sccs : string list list;
+  sccs : Sym.t list list;
       (** reverse topological order: every callee's SCC precedes its
           callers' *)
-  edges : (string, string list) Hashtbl.t;
   graph : graph;
 }
 
 (** Names a function's body mentions (including in local initializers and
-    via function pointers — any occurrence counts, per Definition 4). *)
-let mentions (f : Cast.fundef) : string list =
+    via function pointers — any occurrence counts, per Definition 4),
+    distinct, in name order. *)
+let mentions (f : Cast.fundef) : Sym.t list =
   let acc =
     List.fold_left
       (fun acc s -> Cast.fold_stmt_exprs (fun acc e -> Cast.expr_idents acc e) acc s)
       [] f.f_body
   in
-  List.sort_uniq String.compare acc
+  List.sort_uniq Sym.compare_names acc
 
 (* Tarjan's strongly connected components over [succ], visiting vertices
    in id order and successors in array order. Returns the SCCs in
@@ -89,52 +89,60 @@ let tarjan (succ : int array array) : int array list =
 
 let build (prog : Cprog.t) : t =
   let funs = Cprog.functions prog in
-  (* number the names densely, first definition first *)
+  (* number the names densely, first definition first: [id_of] maps a
+     symbol to its vertex, -1 for a name that defines no function *)
+  let max_sym =
+    List.fold_left (fun m (f : Cast.fundef) -> max m (f.f_name :> int)) (-1) funs
+  in
+  let id_of = Array.make (max_sym + 1) (-1) in
+  let vertex (x : Sym.t) =
+    let x = (x :> int) in
+    if x <= max_sym then Array.unsafe_get id_of x else -1
+  in
   let nfuns = List.length funs in
-  let id_of : (string, int) Hashtbl.t = Hashtbl.create (2 * nfuns) in
-  let names = Array.make nfuns "" and body = Array.make nfuns [] in
+  let body = Array.make nfuns [] in
+  let n = ref 0 and names = ref [] in
   List.iter
     (fun (f : Cast.fundef) ->
       let v =
-        match Hashtbl.find_opt id_of f.f_name with
-        | Some v -> v
-        | None ->
-            let v = Hashtbl.length id_of in
-            Hashtbl.add id_of f.f_name v;
-            names.(v) <- f.f_name;
+        match vertex f.f_name with
+        | -1 ->
+            let v = !n in
+            incr n;
+            id_of.((f.f_name :> int)) <- v;
+            names := f.f_name :: !names;
             v
+        | v -> v
       in
       body.(v) <- f.f_body)
     funs;
-  let n = Hashtbl.length id_of in
-  let names = Array.sub names 0 n in
+  let n = !n in
+  let names = Array.of_list (List.rev !names) in
   (* successors: distinct defined functions other than [v] itself, in
      name order *)
   let seen = Array.make n (-1) in
   let succ =
     Array.init n (fun v ->
         let mention acc x =
-          match Hashtbl.find_opt id_of x with
-          | Some w when w <> v && seen.(w) <> v ->
-              seen.(w) <- v;
-              w :: acc
-          | _ -> acc
+          let w = vertex x in
+          if w >= 0 && w <> v && seen.(w) <> v then begin
+            seen.(w) <- v;
+            w :: acc
+          end
+          else acc
         in
         let expr acc e = Cast.fold_expr_vars mention acc e in
         let ws = Cast.fold_stmts_exprs expr [] body.(v) in
         let ws = Array.of_list ws in
-        Array.sort (fun a b -> String.compare names.(a) names.(b)) ws;
+        Array.sort (fun a b -> Sym.compare_names names.(a) names.(b)) ws;
         ws)
   in
   let members = Array.of_list (tarjan succ) in
   let scc_of = Array.make n 0 in
   Array.iteri (fun i scc -> Array.iter (fun v -> scc_of.(v) <- i) scc) members;
   let names_of ids = Array.fold_right (fun v acc -> names.(v) :: acc) ids [] in
-  let edges = Hashtbl.create (2 * n) in
-  Array.iteri (fun v ws -> Hashtbl.replace edges names.(v) (names_of ws)) succ;
   {
     sccs = Array.fold_right (fun scc acc -> names_of scc :: acc) members [];
-    edges;
     graph = { names; succ; scc_of; members };
   }
 

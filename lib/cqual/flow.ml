@@ -54,7 +54,7 @@ type result = {
 type ctx = {
   store : Solver.t;
   prog : Cprog.t;
-  addr_taken : (string, unit) Hashtbl.t;
+  addr_taken : Sym.t list;  (** locals whose address is taken *)
   flow : bool;  (** false: one variable per local (fallback/baseline) *)
   tainted_elt : Elt.t;
   not_tainted : Elt.t;
@@ -63,11 +63,12 @@ type ctx = {
 }
 
 (* the abstract state: taint variable of each tracked local *)
-and state = (string * Solver.var) list
+and state = (Sym.t * Solver.var) list
 
 let fresh ctx name = Solver.fresh ~name:("flow_" ^ name) ctx.store
 
-let lookup st x = List.assoc_opt x st
+let lookup st x = List.assq_opt x st
+let addr_taken ctx x = List.memq x ctx.addr_taken
 
 (* same binding discipline as [(x, v) :: List.remove_assoc x st] (new
    binding at the head, first old occurrence dropped) in one traversal
@@ -75,7 +76,7 @@ let lookup st x = List.assoc_opt x st
 let update st x v =
   let rec drop = function
     | [] -> []
-    | (y, _) :: tl when String.equal y x -> tl
+    | (y, _) :: tl when Sym.equal y x -> tl
     | b :: tl -> b :: drop tl
   in
   (x, v) :: drop st
@@ -86,7 +87,7 @@ let join_states ctx (a : state) (b : state) : state =
     (fun (x, va) ->
       match lookup b x with
       | Some vb when Solver.var_id vb <> Solver.var_id va ->
-          let v = fresh ctx (x ^ "_join") in
+          let v = fresh ctx (Sym.name x ^ "_join") in
           Solver.add_leq_vv ~reason:"control-flow join" ctx.store va v;
           Solver.add_leq_vv ~reason:"control-flow join" ctx.store vb v;
           (x, v)
@@ -131,7 +132,7 @@ let rec taint_of ctx (st : state) (e : Cast.expr) : Solver.var * state =
   | EVar x -> (
       match lookup st x with
       | Some v -> (v, st)
-      | None -> (fresh ctx ("ext_" ^ x), st))
+      | None -> (fresh ctx ("ext_" ^ Sym.name x), st))
   | EUnop (_, e) | ECast (_, e) ->
       (* unary ops preserve taint; casts of scalars do too (a cast cannot
          launder a value the way it severs pointer structure) *)
@@ -170,8 +171,9 @@ let rec taint_of ctx (st : state) (e : Cast.expr) : Solver.var * state =
       let vold, st = taint_of ctx st lhs in
       let st = weak_or_strong_update ctx st lhs vold ~strong:false in
       (vold, st)
-  | ECall (EVar fname, args) ->
-      let decls = param_decls ctx fname in
+  | ECall (EVar f, args) ->
+      let decls = param_decls ctx f in
+      let fname = Sym.name f in
       let st =
         List.fold_left
           (fun st (i, arg) ->
@@ -189,7 +191,7 @@ let rec taint_of ctx (st : state) (e : Cast.expr) : Solver.var * state =
           (List.mapi (fun i a -> (i, a)) args)
       in
       let r = fresh ctx ("ret_" ^ fname) in
-      if ret_tainted ctx fname then
+      if ret_tainted ctx f then
         Solver.add_leq_cv
           ~reason:(fname ^ " returns tainted data (source)")
           ctx.store ctx.tainted_elt r;
@@ -213,7 +215,7 @@ and weak_or_strong_update ctx st lhs v ~strong : state =
   match lhs with
   | EVar x when lookup st x <> None ->
       let strong =
-        strong && ctx.flow && not (Hashtbl.mem ctx.addr_taken x)
+        strong && ctx.flow && not (addr_taken ctx x)
       in
       if strong then update st x v
       else begin
@@ -229,9 +231,9 @@ and assign ctx st lhs rhs : Solver.var * state =
   let vr, st = taint_of ctx st rhs in
   match lhs with
   | EVar x when lookup st x <> None ->
-      if ctx.flow && not (Hashtbl.mem ctx.addr_taken x) then begin
+      if ctx.flow && not (addr_taken ctx x) then begin
         (* strong update: a brand-new variable, severed from the past *)
-        let v = fresh ctx (x ^ "_upd") in
+        let v = fresh ctx (Sym.name x ^ "_upd") in
         Solver.add_leq_vv ~reason:"assignment" ctx.store vr v;
         (v, update st x v)
       end
@@ -260,7 +262,7 @@ let rec stmt ctx (st : state) (s : Cast.stmt) : state =
         (fun st (d : Cast.decl) ->
           let ty = Cprog.expand ctx.prog d.d_type in
           if is_scalar ty then begin
-            let v = fresh ctx d.d_name in
+            let v = fresh ctx (Sym.name d.d_name) in
             if Cast.has_qual "tainted" (Cast.quals_of ty) then
               Solver.add_leq_cv ~reason:"declared $tainted" ctx.store
                 ctx.tainted_elt v;
@@ -330,7 +332,7 @@ and loop ctx st ~pre_test ~post_test body : state =
     let head =
       List.map
         (fun (x, v) ->
-          let h = fresh ctx (x ^ "_loop") in
+          let h = fresh ctx (Sym.name x ^ "_loop") in
           Solver.add_leq_vv ~reason:"loop entry" ctx.store v h;
           (x, h))
         st
@@ -383,10 +385,10 @@ let rec stmt_uses_goto = function
       Option.fold ~none:false ~some:stmt_uses_goto i || stmt_uses_goto s
   | SExpr _ | SDecl _ | SReturn _ | SBreak | SContinue | SNull -> false
 
-let addr_taken_locals (f : Cast.fundef) : (string, unit) Hashtbl.t =
-  let tbl = Hashtbl.create 8 in
+let addr_taken_locals (f : Cast.fundef) : Sym.t list =
+  let acc = ref [] in
   let rec expr = function
-    | Cast.EAddr (EVar x) -> Hashtbl.replace tbl x ()
+    | Cast.EAddr (EVar x) -> if not (List.memq x !acc) then acc := x :: !acc
     | EAddr e | EUnop (_, e) | ECast (_, e) | ESizeofE e | EDeref e
     | EIncDec (_, _, e)
     | EMember (e, _)
@@ -412,7 +414,7 @@ let addr_taken_locals (f : Cast.fundef) : (string, unit) Hashtbl.t =
   List.iter
     (fun s -> Cast.fold_stmt_exprs (fun () e -> expr e) () s)
     f.f_body;
-  tbl
+  !acc
 
 let analyze_function ~tainted_elt ~not_tainted store prog mode
     (f : Cast.fundef) : func_result =
@@ -436,7 +438,7 @@ let analyze_function ~tainted_elt ~not_tainted store prog mode
       (fun (n, pt) ->
         let ty = Cprog.expand prog pt in
         if is_scalar ty then begin
-          let v = fresh ctx n in
+          let v = fresh ctx (Sym.name n) in
           if Cast.has_qual "tainted" (Cast.quals_of ty) then
             Solver.add_leq_cv ~reason:"parameter declared $tainted" store
               ctx.tainted_elt v;
@@ -449,7 +451,7 @@ let analyze_function ~tainted_elt ~not_tainted store prog mode
       f.f_params
   in
   ignore (List.fold_left (stmt ctx) st0 f.f_body);
-  { fr_name = f.f_name; fr_fell_back = mode = Sensitive && uses_goto }
+  { fr_name = Sym.name f.f_name; fr_fell_back = mode = Sensitive && uses_goto }
 
 (** Analyze a whole program's defined functions. *)
 let analyze ?(mode = Sensitive) (prog : Cprog.t) : result =

@@ -18,8 +18,8 @@ type rt =
                irrelevant to const inference (always ⊥ in ℓ) *)
   | RVoid  (** contents of [void*]: matches anything, loses information *)
   | RPtr of cell  (** a pointer value: the cell it points to *)
-  | RStruct of string  (** a struct/union value; fields live in the shared
-                           per-tag table (Section 4.2) *)
+  | RStruct of Sym.t  (** a struct/union value; fields live in the shared
+                          per-tag table (Section 4.2) *)
   | RFun of fsig  (** a function designator / function pointer *)
 
 and cell = {
@@ -79,7 +79,7 @@ let rec rt_of_ctype ?seed store (ty : Cast.ctype) : rt =
          lost (e.g. to a parse error); signal it like Cprog.expand does so
          the analysis demotes the enclosing function to degraded instead
          of crashing the run *)
-      raise (Cprog.Frontend_error ("unknown typedef " ^ n))
+      raise (Cprog.Frontend_error ("unknown typedef " ^ Sym.name n))
   | TPtr (target, _) | TArray (target, _, _) ->
       let c = cell_of_ctype ?seed store target in
       RPtr c
@@ -103,7 +103,7 @@ and cell_of_ctype ?(name = "cell") ?seed store (ty : Cast.ctype) : cell =
   c
 
 and cell_of_param ?seed store pname pt =
-  cell_of_ctype ~name:("param_" ^ pname) ?seed store (Cprog.decay pt)
+  cell_of_ctype ~name:("param_" ^ Sym.name pname) ?seed store (Cprog.decay pt)
 
 (* ------------------------------------------------------------------ *)
 (* Subtyping (SubRef is invariant — Section 2.4)                       *)
@@ -223,7 +223,7 @@ let rec pp_rt ppf = function
   | RBase -> Fmt.string ppf "base"
   | RVoid -> Fmt.string ppf "void"
   | RPtr c -> Fmt.pf ppf "ptr(%a)" pp_cell c
-  | RStruct tag -> Fmt.pf ppf "struct %s" tag
+  | RStruct tag -> Fmt.pf ppf "struct %s" (Sym.name tag)
   | RFun f ->
       Fmt.pf ppf "fun(%a) -> %a"
         Fmt.(list ~sep:comma pp_cell)
@@ -291,7 +291,7 @@ module Shape = struct
       | RVoid -> Buffer.add_char buf 'v'
       | RStruct tag ->
           Buffer.add_char buf 's';
-          Buffer.add_string buf tag;
+          Buffer.add_string buf (string_of_int (tag :> int));
           Buffer.add_char buf ';'
       | RPtr c ->
           flat := false;
@@ -327,7 +327,8 @@ module Shape = struct
     match r with
     | RBase -> intern table "b" ~flat:true
     | RVoid -> intern table "v" ~flat:true
-    | RStruct tag -> intern table ("s" ^ tag ^ ";") ~flat:true
+    | RStruct tag ->
+        intern table ("s" ^ string_of_int (tag :> int) ^ ";") ~flat:true
     | RPtr c -> (
         let uid = Solver.var_uid c.q in
         match Hashtbl.find_opt table.by_cell uid with

@@ -97,9 +97,11 @@ let positions_of_rt ?(qual = "const") ?(loc = ("", 0, 0)) ~fname ~where prog
 
 (* [locate fname line] resolves an AST line to its (unit, local line)
    pair; the per-unit frontend maps a function through its home unit.
-   The default leaves lines untouched with an anonymous unit. *)
-let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
+   The default leaves lines untouched with an anonymous unit. Names
+   become strings here, at the output boundary. *)
+let positions_of_fun ?qual ?(locate = fun (_ : Sym.t) line -> ("", line)) prog
     (f : Cast.fundef) (iface : fsig) : (position * Solver.var) list =
+  let fname = Sym.name f.f_name in
   let anchor (line, col) =
     if line <= 0 then ("", 0, 0)
     else
@@ -123,8 +125,8 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     List.concat
       (List.map2
          (fun (i, (pname, pty), ploc) (c : cell) ->
-           positions_of_rt ?qual ~loc:(anchor ploc) ~fname:f.f_name
-             ~where:(Param (i, pname)) prog pty c.contents)
+           positions_of_rt ?qual ~loc:(anchor ploc) ~fname
+             ~where:(Param (i, Sym.name pname)) prog pty c.contents)
          (List.map2
             (fun (i, p) ploc -> (i, p, ploc))
             (List.mapi (fun i p -> (i, p)) f.f_params)
@@ -132,8 +134,8 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
          iface.fs_params)
   in
   let ret =
-    positions_of_rt ?qual ~loc:(anchor f.f_name_loc) ~fname:f.f_name
-      ~where:Ret prog f.f_ret iface.fs_ret
+    positions_of_rt ?qual ~loc:(anchor f.f_name_loc) ~fname ~where:Ret prog
+      f.f_ret iface.fs_ret
   in
   params @ ret
 
@@ -144,7 +146,7 @@ let positions_of_fun ?qual ?(locate = fun _fname line -> ("", line)) prog
     conservatively classified [Either] and every function is reported
     degraded (keeping any more specific per-function reason already
     recorded). *)
-let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
+let measure_full ?locate (env : Analysis.env) (ifaces : (Sym.t * fsig) list)
     : results * (position * verdict * Solver.var) list =
   let store = env.Analysis.store in
   ignore (Solver.solve store : (unit, Solver.error list) result);
@@ -202,7 +204,7 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
     List.map
       (fun (f : Cast.fundef) ->
         let o =
-          match Hashtbl.find_opt env.Analysis.outcomes f.f_name with
+          match Sym.Tbl.find_opt env.Analysis.outcomes f.f_name with
           | Some (Analysis.Degraded _ as o) -> o
           | recorded -> (
               match budget_trip with
@@ -212,7 +214,7 @@ let measure_full ?locate (env : Analysis.env) (ifaces : (string * fsig) list)
                   | Some o -> o
                   | None -> Analysis.Analyzed))
         in
-        (f.f_name, o))
+        (Sym.name f.f_name, o))
       (Cprog.functions env.Analysis.prog)
   in
   let count f = List.length (List.filter f pairs) in

@@ -37,7 +37,9 @@ type frontend_stats = {
   fs_lex_s : float;
   fs_parse_s : float;
   fs_build_s : float;
+      (** the one pass writing the linked units into the program tables *)
   fs_link_s : float;
+      (** the replay of the cross-unit environment, reparses included *)
 }
 
 type run = {
@@ -95,7 +97,7 @@ type cache_spec = { cs_cache : Cache.t; cs_opts_id : string }
    any marshaled type in this file or the analysis changes shape. *)
 let space_fingerprint (sp : Typequal.Lattice.Space.t) : Digest.t =
   Digest.string
-    (Fmt.str "%a|%s|payload-fmt-3" Typequal.Lattice.Space.pp_dump sp
+    (Fmt.str "%a|%s|payload-fmt-4" Typequal.Lattice.Space.pp_dump sp
        Sys.ocaml_version)
 
 (** Open a cache directory for runs under this rule set (default: const
@@ -296,18 +298,51 @@ let run_key ~optfp (digests : string list) =
 
 (* the per-unit AST cache payload: the speculative (environment-free)
    parse of one unit, reusable under any link order. Reparses triggered
-   by the link environment are never cached — they depend on it. *)
-type cached_unit = { cu_res : Cfront.Cparse.uresult }
+   by the link environment are never cached — they depend on it. Symbol
+   ids are private to the process that minted them, so the payload
+   carries the name of every symbol in [cu_res]: [cu_names.(i)] is the
+   name of the writer's id [cu_ids.(i)]. *)
+type cached_unit = {
+  cu_res : Cfront.Cparse.uresult;
+  cu_ids : Cfront.Sym.t array;
+  cu_names : string array;
+}
 
 let unit_key ~max_errors ~digest =
   Digest.string (Printf.sprintf "unit\000%d\000%s" max_errors digest)
+
+let cached_unit_of (res : Cfront.Cparse.uresult) : cached_unit =
+  let ids =
+    Array.of_list (res.Cfront.Cparse.ur_idents @ res.Cfront.Cparse.ur_minted)
+  in
+  { cu_res = res; cu_ids = ids; cu_names = Array.map Cfront.Sym.name ids }
+
+(* Rebase a loaded payload onto this process's symbol ids: intern every
+   name, and rename the AST only when some id differs (a payload written
+   by this process, or under the same intern order, is used as is). *)
+let uresult_of_cached (cu : cached_unit) : Cfront.Cparse.uresult =
+  let ids = Array.map Cfront.Sym.intern cu.cu_names in
+  if Array.for_all2 Cfront.Sym.equal ids cu.cu_ids then cu.cu_res
+  else begin
+    let remap : (int, Cfront.Sym.t) Hashtbl.t =
+      Hashtbl.create (Array.length ids)
+    in
+    Array.iteri
+      (fun i (old : Cfront.Sym.t) -> Hashtbl.replace remap (old :> int) ids.(i))
+      cu.cu_ids;
+    Cfront.Cparse.map_uresult
+      (fun s ->
+        match Hashtbl.find_opt remap (s :> int) with
+        | Some s' -> s'
+        | None -> failwith "cached unit: symbol without a name")
+      cu.cu_res
+  end
 
 (* one unit's frontend product, pre-link *)
 type unit_fe = {
   uf_name : string;
   uf_src : string;
   uf_res : Cfront.Cparse.uresult;
-  uf_prog : Cfront.Cprog.t;  (* build of the speculative parse *)
 }
 
 (* the persistent session's in-memory AST tier: unit digest ->
@@ -328,7 +363,7 @@ type fe_memo = {
     the disk tier and fed by fresh parses. Everything runs on the
     calling domain, so the phase times are wall times. *)
 let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
-    compiled * (string, string) Hashtbl.t =
+    compiled * string Cfront.Sym.Tbl.t =
   let lines =
     List.fold_left
       (fun acc (_, src) -> acc + Cfront.Cprog.count_lines src)
@@ -360,17 +395,24 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
         in
         match (memo_hit, cache) with
         | Some _, _ | None, None -> memo_hit
-        | None, Some cs ->
-            Option.map
-              (fun cu -> cu.cu_res)
-              (load_marshal cs.cs_cache ~kind:"unit"
-                 ~key:(unit_key ~max_errors:me ~digest) ~deps:[]
-                : cached_unit option))
+        | None, Some cs -> (
+            let key = unit_key ~max_errors:me ~digest in
+            match
+              (load_marshal cs.cs_cache ~kind:"unit" ~key ~deps:[]
+                : cached_unit option)
+            with
+            | None -> None
+            | Some cu -> (
+                match uresult_of_cached cu with
+                | res -> Some res
+                | exception Failure _ ->
+                    Cache.reject_undecodable cs.cs_cache ~kind:"unit" ~key;
+                    None)))
       digests_a
   in
-  (* --- speculative lex+parse+build, one unit at a time; fresh parses
-     feed the memo and the disk tier --- *)
-  let lex_s = ref 0. and parse_s = ref 0. and build_s = ref 0. in
+  (* --- speculative lex+parse, one unit at a time; fresh parses feed
+     the memo and the disk tier --- *)
+  let lex_s = ref 0. and parse_s = ref 0. in
   (* the last parsed unit's token buffer, for the next scan to overwrite:
      a project allocates token storage about once, not once per unit *)
   let spare = ref None in
@@ -393,7 +435,7 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
         Cache.store cs.cs_cache ~kind:"unit"
           ~key:(unit_key ~max_errors:me ~digest:digests_a.(i))
           ~deps:[]
-          (Marshal.to_string { cu_res = res } [])
+          (Marshal.to_string (cached_unit_of res) [])
     | None -> ());
     res
   in
@@ -403,20 +445,18 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
         let res =
           match probed.(i) with Some res -> res | None -> parse_fresh i src
         in
-        let prog, t_build =
-          time (fun () ->
-              Cfront.Cprog.build res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog)
-        in
-        build_s := !build_s +. t_build;
-        { uf_name = name; uf_src = src; uf_res = res; uf_prog = prog })
+        { uf_name = name; uf_src = src; uf_res = res })
       files_a
   in
   (* --- link: validate each speculative parse against the accumulated
      environment, re-parse when it could have been influenced, thread
-     the diagnostic budget, merge in file order --- *)
+     the diagnostic budget --- *)
   let link_t0 = Unix.gettimeofday () in
-  let env_typedefs : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let env_enums : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  (* the exported typedef and enum-constant names so far, as sets and
+     as lists in first-export order (the seed of a reparse) *)
+  let env_typedefs : unit Cfront.Sym.Tbl.t = Cfront.Sym.Tbl.create () in
+  let env_enums : int Cfront.Sym.Tbl.t = Cfront.Sym.Tbl.create () in
+  let typedef_names = ref [] and enum_names = ref [] in
   let env_anon = ref 0 in
   let consumed = ref 0 in
   let capped = ref false in
@@ -424,7 +464,7 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
   let progs = ref [] in
   let diags = ref [] in
   let degraded = ref [] in
-  let unit_of_tbl : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let unit_of_tbl : string Cfront.Sym.Tbl.t = Cfront.Sym.Tbl.create () in
   Array.iter
     (fun uf ->
       if not !capped then
@@ -452,33 +492,31 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
             List.length spec.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_diags
           in
           let mention_hit =
-            (Hashtbl.length env_typedefs > 0
-            || Hashtbl.length env_enums > 0)
+            (!typedef_names <> [] || !enum_names <> [])
             && List.exists
                  (fun id ->
-                   Hashtbl.mem env_typedefs id
-                   || Hashtbl.mem env_enums id)
+                   Cfront.Sym.Tbl.mem env_typedefs id
+                   || Cfront.Sym.Tbl.mem env_enums id)
                  spec.Cfront.Cparse.ur_idents
           in
           let anon_hit =
             !env_anon > 0 && spec.Cfront.Cparse.ur_anon > 0
           in
           let budget_hit = !consumed > 0 && k > 0 && !consumed + k >= me in
-          let res, prog =
-            if not (mention_hit || anon_hit || budget_hit) then
-              (spec, uf.uf_prog)
+          let res =
+            if not (mention_hit || anon_hit || budget_hit) then spec
             else begin
               incr reparsed;
               let seed =
                 {
-                  Cfront.Cparse.us_typedefs =
-                    Hashtbl.fold
-                      (fun k () acc -> k :: acc)
-                      env_typedefs [];
+                  Cfront.Cparse.us_typedefs = !typedef_names;
                   us_enums =
-                    Hashtbl.fold
-                      (fun k v acc -> (k, v) :: acc)
-                      env_enums [];
+                    List.filter_map
+                      (fun k ->
+                        Option.map
+                          (fun v -> (k, v))
+                          (Cfront.Sym.Tbl.find_opt env_enums k))
+                      !enum_names;
                   us_anon = !env_anon;
                   us_count_base = !consumed;
                 }
@@ -487,25 +525,27 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
                 Cfront.Clexer.tokenize_buf ~max_errors:(me - !consumed)
                   uf.uf_src
               in
-              let res =
-                Cfront.Cparse.parse_unit ~max_errors:me ~seed tb
-                  ~lex_diags
-              in
-              ( res,
-                Cfront.Cprog.build
-                  res.Cfront.Cparse.ur_pr.Cfront.Cparse.pr_prog )
+              Cfront.Cparse.parse_unit ~max_errors:me ~seed tb ~lex_diags
             end
           in
           let pr = res.Cfront.Cparse.ur_pr in
           consumed := !consumed + List.length pr.Cfront.Cparse.pr_diags;
           if res.Cfront.Cparse.ur_capped then capped := true;
           List.iter
-            (fun name -> Hashtbl.replace env_typedefs name ())
+            (fun name ->
+              if not (Cfront.Sym.Tbl.mem env_typedefs name) then begin
+                Cfront.Sym.Tbl.replace env_typedefs name ();
+                typedef_names := name :: !typedef_names
+              end)
             res.Cfront.Cparse.ur_typedefs;
           List.iter
-            (fun (name, v) -> Hashtbl.replace env_enums name v)
+            (fun (name, v) ->
+              if not (Cfront.Sym.Tbl.mem env_enums name) then
+                enum_names := name :: !enum_names;
+              Cfront.Sym.Tbl.replace env_enums name v)
             res.Cfront.Cparse.ur_enums;
           env_anon := !env_anon + res.Cfront.Cparse.ur_anon;
+          let prog = pr.Cfront.Cparse.pr_prog in
           progs := prog :: !progs;
           List.iter
             (fun d ->
@@ -518,15 +558,22 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
             (fun dg -> degraded := dg :: !degraded)
             pr.Cfront.Cparse.pr_degraded;
           List.iter
-            (fun (f : Cfront.Cast.fundef) ->
-              if not (Hashtbl.mem unit_of_tbl f.Cfront.Cast.f_name) then
-                Hashtbl.replace unit_of_tbl f.Cfront.Cast.f_name
-                  uf.uf_name)
-            (Cfront.Cprog.functions prog)
+            (function
+              | Cfront.Cast.GFun f ->
+                  if not (Cfront.Sym.Tbl.mem unit_of_tbl f.Cfront.Cast.f_name)
+                  then
+                    Cfront.Sym.Tbl.replace unit_of_tbl f.Cfront.Cast.f_name
+                      uf.uf_name
+              | _ -> ())
+            prog
         end)
     ufs;
-  let prog = Cfront.Cprog.merge (List.rev !progs) in
   let link_s = Unix.gettimeofday () -. link_t0 in
+  (* --- build: one write pass of the linked units into the
+     symbol-indexed program tables --- *)
+  let prog, build_s =
+    time (fun () -> Cfront.Cprog.merge (List.rev !progs))
+  in
   let t_compile = Unix.gettimeofday () -. t0 in
   let fe =
     {
@@ -534,7 +581,7 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
       fs_reparsed = !reparsed;
       fs_lex_s = !lex_s;
       fs_parse_s = !parse_s;
-      fs_build_s = !build_s;
+      fs_build_s = build_s;
       fs_link_s = link_s;
     }
   in
@@ -552,8 +599,8 @@ let compile_units ?cache ?fe_memo ~me (files : (string * string) list) :
 
 (* the per-unit frontend's position anchor: a function's lines are
    already unit-local, so only the unit name needs resolving *)
-let locate_of_tbl (tbl : (string, string) Hashtbl.t) fname line =
-  match Hashtbl.find_opt tbl fname with
+let locate_of_tbl (tbl : string Cfront.Sym.Tbl.t) fname line =
+  match Cfront.Sym.Tbl.find_opt tbl fname with
   | Some u -> (u, line)
   | None -> ("", line)
 
@@ -672,7 +719,7 @@ module Lat = Typequal.Lattice
 type mode_state = {
   ms_run : run;
   ms_env : Analysis.env;
-  ms_ifaces : (string * Qtypes.fsig) list;
+  ms_ifaces : (Cfront.Sym.t * Qtypes.fsig) list;
   ms_index :
     (string, Report.position * Report.verdict * Solver.var) Hashtbl.t;
 }
@@ -691,7 +738,7 @@ type t = {
   s_fe_memo : fe_memo;
   mutable s_units : (string * string) list;  (* (name, source), in order *)
   (* stages derived from the unit table; dropped on any unit edit *)
-  mutable s_compiled : (compiled * (string, string) Hashtbl.t) option;
+  mutable s_compiled : (compiled * string Cfront.Sym.Tbl.t) option;
   s_modes : (string, mode_state) Hashtbl.t;
 }
 

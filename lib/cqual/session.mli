@@ -25,7 +25,9 @@ type frontend_stats = {
   fs_lex_s : float;
   fs_parse_s : float;
   fs_build_s : float;
+      (** the one pass writing the linked units into the program tables *)
   fs_link_s : float;
+      (** the replay of the cross-unit environment, reparses included *)
 }
 
 type run = {

@@ -21,6 +21,9 @@ let first_var src =
 
 let type_str src = ctype_to_string (first_var src).d_type
 
+(* does symbol [s] spell [name]? *)
+let ( =$ ) s name = String.equal (Sym.name s) name
+
 let test_lexer () =
   let toks = Clexer.tokenize "int x = 0x1f + 017; /* c */ // line\n\"a\\nb\" 'c' $tainted" in
   let tts = List.map fst toks in
@@ -80,33 +83,37 @@ let test_fundef () =
   let p = parse "int add(int a, int b) { return a + b; }" in
   match p with
   | [ GFun f ] ->
-      Alcotest.(check string) "name" "add" f.f_name;
+      Alcotest.(check string) "name" "add" (Sym.name f.f_name);
       Alcotest.(check int) "params" 2 (List.length f.f_params);
       Alcotest.(check bool) "not varargs" false f.f_varargs;
       (match f.f_body with
-      | [ SReturn (Some (EBinop (Add, EVar "a", EVar "b"))) ] -> ()
+      | [ SReturn (Some (EBinop (Add, EVar a, EVar b))) ] when a =$ "a" && b =$ "b"
+        -> ()
       | _ -> Alcotest.fail "body shape")
   | _ -> Alcotest.fail "expected one function"
 
 let test_varargs_proto () =
   let p = parse "int printf(const char *fmt, ...);" in
   match p with
-  | [ GProto ("printf", TFun (TInt _, [ _ ], true), _) ] -> ()
+  | [ GProto (f, TFun (TInt _, [ _ ], true), _) ] when f =$ "printf" -> ()
   | _ -> Alcotest.fail "printf proto"
 
 let test_struct_def () =
   let p = parse "struct st { int x; char *name; } a, b;" in
   let comps = List.filter_map (function GComp (t, u, fs, _) -> Some (t, u, fs) | _ -> None) p in
   (match comps with
-  | [ ("st", false, [ ("x", TInt _); ("name", TPtr (TInt (IChar, _), _)) ]) ] -> ()
+  | [ (st, false, [ (x, TInt _); (name, TPtr (TInt (IChar, _), _)) ]) ]
+    when st =$ "st" && x =$ "x" && name =$ "name" -> ()
   | _ -> Alcotest.fail "struct fields");
-  let vars = List.filter_map (function GVar d -> Some d.d_name | _ -> None) p in
+  let vars =
+    List.filter_map (function GVar d -> Some (Sym.name d.d_name) | _ -> None) p
+  in
   Alcotest.(check (list string)) "two vars" [ "a"; "b" ] vars
 
 let test_typedef () =
   let p = parse "typedef int *ip; ip c, d;" in
   let prog = Cprog.build p in
-  let c = Hashtbl.find prog.Cprog.globals "c" in
+  let c = Option.get (Sym.Tbl.find_opt prog.Cprog.globals (Sym.intern "c")) in
   match Cprog.expand prog c.d_type with
   | TPtr (TInt _, _) -> ()
   | t -> Alcotest.failf "typedef expansion: %s" (ctype_to_string t)
@@ -114,7 +121,7 @@ let test_typedef () =
 let test_typedef_quals_merge () =
   let p = parse "typedef char *str; const str s;" in
   let prog = Cprog.build p in
-  let s = Hashtbl.find prog.Cprog.globals "s" in
+  let s = Option.get (Sym.Tbl.find_opt prog.Cprog.globals (Sym.intern "s")) in
   (* const str = char * const (const applies to the pointer) *)
   match Cprog.expand prog s.d_type with
   | TPtr (TInt (IChar, _), q) -> Alcotest.(check bool) "const on ptr" true (is_const q)
@@ -138,14 +145,14 @@ let test_cast_vs_paren () =
     | _ -> Alcotest.fail "no function"
   in
   (match body "int f(int x) { return (int)x; }" with
-  | ECast (TInt _, EVar "x") -> ()
+  | ECast (TInt _, EVar x) when x =$ "x" -> ()
   | _ -> Alcotest.fail "cast");
   (match body "int f(int x) { return (x); }" with
-  | EVar "x" -> ()
+  | EVar x when x =$ "x" -> ()
   | _ -> Alcotest.fail "paren");
   (* typedef name makes it a cast *)
   match body "typedef int T; int f(int x) { return (T)x; }" with
-  | ECast (TNamed ("T", _), EVar "x") -> ()
+  | ECast (TNamed (t, _), EVar x) when t =$ "T" && x =$ "x" -> ()
   | _ -> Alcotest.fail "typedef cast"
 
 let test_statements () =
@@ -171,7 +178,8 @@ let test_member_access () =
   match parse src with
   | [ GComp _; GFun { f_body = [ SReturn (Some e) ]; _ } ] -> (
       match e with
-      | EBinop (Add, EArrow (EArrow (EVar "l", "next"), "x"), EMember (EDeref (EVar "l"), "x"))
+      | EBinop (Add, EArrow (EArrow (EVar l, next), x), EMember (EDeref (EVar l'), x'))
+        when l =$ "l" && next =$ "next" && x =$ "x" && l' =$ "l" && x' =$ "x"
         -> ()
       | _ -> Alcotest.fail "member shape")
   | _ -> Alcotest.fail "member parse"
@@ -180,12 +188,12 @@ let test_enum () =
   let p = parse "enum color { RED, GREEN = 5, BLUE }; int f(void) { return BLUE; }" in
   (* enum constants substitute as integers *)
   match p with
-  | [ GEnum ("color", items, _); GFun { f_body = [ SReturn (Some (EInt 6)) ]; _ } ]
-    ->
+  | [ GEnum (color, items, _); GFun { f_body = [ SReturn (Some (EInt 6)) ]; _ } ]
+    when color =$ "color" ->
       Alcotest.(check (list (pair string int)))
         "items"
         [ ("RED", 0); ("GREEN", 5); ("BLUE", 6) ]
-        items
+        (List.map (fun (n, v) -> (Sym.name n, v)) items)
   | _ -> Alcotest.fail "enum"
 
 let test_string_concat_and_escape () =
@@ -224,7 +232,7 @@ let test_parse_errors () =
 let test_bitfields_and_unions () =
   let p = parse "union u { int flags : 4; char c; }; union u v;" in
   match p with
-  | [ GComp ("u", true, fields, _); GVar _ ] ->
+  | [ GComp (u, true, fields, _); GVar _ ] when u =$ "u" ->
       Alcotest.(check int) "fields" 2 (List.length fields)
   | _ -> Alcotest.fail "union/bitfield"
 
@@ -236,14 +244,14 @@ let test_static_and_extern () =
 
 let test_comma_and_ternary () =
   match parse "int f(int a) { return a ? 1 : (a = 2, 3); }" with
-  | [ GFun { f_body = [ SReturn (Some (ECond (EVar "a", EInt 1, EComma (EAssign _, EInt 3)))) ]; _ } ]
-    -> ()
+  | [ GFun { f_body = [ SReturn (Some (ECond (EVar a, EInt 1, EComma (EAssign _, EInt 3)))) ]; _ } ]
+    when a =$ "a" -> ()
   | _ -> Alcotest.fail "comma/ternary"
 
 let test_sizeof () =
   match parse "int f(int *p) { return sizeof(int) + sizeof p; }" with
-  | [ GFun { f_body = [ SReturn (Some (EBinop (Add, ESizeofT (TInt _), ESizeofE (EVar "p")))) ]; _ } ]
-    -> ()
+  | [ GFun { f_body = [ SReturn (Some (EBinop (Add, ESizeofT (TInt _), ESizeofE (EVar p)))) ]; _ } ]
+    when p =$ "p" -> ()
   | _ -> Alcotest.fail "sizeof"
 
 let tests =
@@ -283,7 +291,9 @@ let tests =
 
 let test_comma_decls () =
   let p = parse "int a = 1, *b, c[3];" in
-  let names = List.filter_map (function GVar d -> Some d.d_name | _ -> None) p in
+  let names =
+    List.filter_map (function GVar d -> Some (Sym.name d.d_name) | _ -> None) p
+  in
   Alcotest.(check (list string)) "names" [ "a"; "b"; "c" ] names;
   match p with
   | [ GVar { d_init = Some (EInt 1); _ }; GVar { d_type = TPtr _; _ };
@@ -307,8 +317,8 @@ let test_array_of_funptr () =
 let test_funptr_returning_funptr () =
   (* "int ( *f(void) )(int)": function returning pointer to function *)
   match parse "int (*f(void))(int);" with
-  | [ GProto ("f", TFun (TPtr (TFun (TInt _, [ _ ], false), _), [], false), _) ]
-    -> ()
+  | [ GProto (f, TFun (TPtr (TFun (TInt _, [ _ ], false), _), [], false), _) ]
+    when f =$ "f" -> ()
   | _ -> Alcotest.fail "function returning function pointer"
 
 let test_shift_and_mod_precedence () =
@@ -318,10 +328,10 @@ let test_shift_and_mod_precedence () =
     | _ -> Alcotest.fail "no function"
   in
   (match body "int f(int a) { return a << 2 + 1; }" with
-  | EBinop (Shl, EVar "a", EBinop (Add, EInt 2, EInt 1)) -> ()
+  | EBinop (Shl, EVar a, EBinop (Add, EInt 2, EInt 1)) when a =$ "a" -> ()
   | _ -> Alcotest.fail "shift binds looser than +");
   match body "int f(int a) { return a % 3 * 2; }" with
-  | EBinop (Mul, EBinop (Mod, EVar "a", EInt 3), EInt 2) -> ()
+  | EBinop (Mul, EBinop (Mod, EVar a, EInt 3), EInt 2) when a =$ "a" -> ()
   | _ -> Alcotest.fail "% and * same level, left assoc"
 
 let test_unary_chain () =
@@ -357,8 +367,8 @@ let test_lines_counted () =
 
 let test_const_in_cast () =
   match parse "char *f(const char *s) { return (char *)s; }" with
-  | [ GFun { f_body = [ SReturn (Some (ECast (TPtr (TInt (IChar, []), []), EVar "s"))) ]; _ } ]
-    -> ()
+  | [ GFun { f_body = [ SReturn (Some (ECast (TPtr (TInt (IChar, []), []), EVar s))) ]; _ } ]
+    when s =$ "s" -> ()
   | _ -> Alcotest.fail "cast type"
 
 let test_forward_struct_ref () =
@@ -527,14 +537,164 @@ let test_scanner_edges () =
   | _ -> Alcotest.fail "expected one E0104")
 
 let test_tokbuf_interns () =
-  let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz;\n" in
-  Alcotest.(check bool) "mentions foo" true (Tokbuf.mentions tb "foo");
-  Alcotest.(check bool) "mentions foo_t" true (Tokbuf.mentions tb "foo_t");
-  Alcotest.(check bool) "keyword not an ident" false (Tokbuf.mentions tb "int");
-  Alcotest.(check bool) "absent name" false (Tokbuf.mentions tb "quux");
-  let names = List.sort String.compare (Tokbuf.ident_names tb) in
+  let tb, _ = Clexer.tokenize_buf "int foo; int bar; foo_t baz; foo bar;\n" in
+  let mentions name = List.memq (Sym.intern name) tb.Tokbuf.idents in
+  Alcotest.(check bool) "mentions foo" true (mentions "foo");
+  Alcotest.(check bool) "mentions foo_t" true (mentions "foo_t");
+  Alcotest.(check bool) "keyword not an ident" false (mentions "int");
+  Alcotest.(check bool) "absent name" false (mentions "quux");
+  let names = List.sort String.compare (List.map Sym.name tb.Tokbuf.idents) in
   Alcotest.(check (list string)) "ident set" [ "bar"; "baz"; "foo"; "foo_t" ]
-    names
+    names;
+  (* every occurrence of a name shares its one token *)
+  let foos =
+    List.filter
+      (fun t -> match t with Ctoken.IDENT s -> s =$ "foo" | _ -> false)
+      (List.init (Tokbuf.length tb) (Tokbuf.tok tb))
+  in
+  match foos with
+  | [ a; b ] -> Alcotest.(check bool) "shared IDENT" true (a == b)
+  | _ -> Alcotest.fail "expected two occurrences of foo"
+
+(* ---------------- symbols ---------------- *)
+
+let test_sym_roundtrip () =
+  let names = [ "alpha"; "beta"; "gamma_1"; "_"; "x"; "alpha" ] in
+  let ids = List.map Sym.intern names in
+  List.iter2
+    (fun n s ->
+      Alcotest.(check string) "name (intern n) = n" n (Sym.name s);
+      Alcotest.(check bool) "intern (name s) = s" true
+        (Sym.equal s (Sym.intern (Sym.name s))))
+    names ids;
+  Alcotest.(check bool) "repeat interns to one id" true
+    (Sym.equal (List.hd ids) (List.nth ids 5));
+  let src = "the_slice_name" in
+  Alcotest.(check bool) "slice = whole" true
+    (Sym.equal (Sym.intern_sub ("<" ^ src ^ ">") 1 (String.length src + 1))
+       (Sym.intern src))
+
+let test_sym_dense () =
+  let before = Sym.count () in
+  let fresh =
+    List.init 3000 (fun i -> Sym.intern (Printf.sprintf "dense$%d$%d" before i))
+  in
+  Alcotest.(check int) "count grows by the new names" (before + 3000)
+    (Sym.count ());
+  List.iteri
+    (fun i (s : Sym.t) ->
+      Alcotest.(check int) "ids are consecutive" (before + i) (s :> int))
+    fresh;
+  Alcotest.(check bool) "every id below count" true
+    (List.for_all (fun (s : Sym.t) -> (s :> int) < Sym.count ()) fresh)
+
+let test_sym_across_units () =
+  let syms src =
+    let tb, _ = Clexer.tokenize_buf src in
+    List.sort Sym.compare tb.Tokbuf.idents
+  in
+  let a = syms "int shared_name; int only_in_a;"
+  and b = syms "long only_in_b; char shared_name;" in
+  let shared = Sym.intern "shared_name" in
+  Alcotest.(check bool) "unit a lists shared_name" true (List.memq shared a);
+  Alcotest.(check bool) "unit b lists shared_name" true (List.memq shared b);
+  let parsed src =
+    match parse src with
+    | [ GVar d ] -> d.d_name
+    | _ -> Alcotest.fail "one global"
+  in
+  Alcotest.(check bool) "one id in both units' ASTs" true
+    (Sym.equal (parsed "int shared_name;") (parsed "char *shared_name;"))
+
+(* ---------------- linking: Cprog.merge = a string-keyed model ---------------- *)
+
+(* The pre-symbol linker as a model: one pass over the units' globals in
+   unit order with name-keyed tables — typedefs, struct layouts,
+   definitions and globals last-wins, prototypes first-wins, struct tags
+   listed in first-definition order. *)
+let model_merge (units : program list) =
+  let typedefs = Hashtbl.create 16 and comps = Hashtbl.create 16
+  and fundefs = Hashtbl.create 16 and protos = Hashtbl.create 16
+  and globals = Hashtbl.create 16 and tags = ref [] in
+  List.iter
+    (List.iter (function
+      | GTypedef (n, t, _) -> Hashtbl.replace typedefs (Sym.name n) t
+      | GComp (tag, _, fs, _) ->
+          if not (Hashtbl.mem comps (Sym.name tag)) then
+            tags := Sym.name tag :: !tags;
+          Hashtbl.replace comps (Sym.name tag) fs
+      | GFun f -> Hashtbl.replace fundefs (Sym.name f.f_name) f
+      | GProto (n, t, _) ->
+          if not (Hashtbl.mem protos (Sym.name n)) then
+            Hashtbl.replace protos (Sym.name n) t
+      | GVar d -> Hashtbl.replace globals (Sym.name d.d_name) d
+      | GEnum _ -> ()))
+    units;
+  (typedefs, comps, fundefs, protos, globals, List.rev !tags)
+
+(* a duplicate of a global that the tables can tell from the original *)
+let twin = function
+  | GFun f -> GFun { f with f_body = []; f_line = f.f_line + 100_000 }
+  | GProto (n, _, l) -> GProto (n, TFun (TVoid [], [], false), l + 100_000)
+  | GTypedef (n, _, l) -> GTypedef (n, TFloat (FDouble, []), l + 100_000)
+  | GComp (tag, u, fs, l) -> GComp (tag, u, List.rev fs, l + 100_000)
+  | GVar d -> GVar { d with d_init = None; d_line = d.d_line + 100_000 }
+  | GEnum _ as g -> g
+
+let prop_merge_model =
+  QCheck2.Test.make ~count:40 ~name:"Cprog.merge = string-keyed model"
+    QCheck2.Gen.(
+      pair (int_bound 10_000) (list_size (int_range 1 12) (pair nat nat)))
+    (fun (seed, picks) ->
+      let units =
+        List.map
+          (fun (_, src) -> (Cparse.parse_program_partial src).Cparse.pr_prog)
+          (Cbench.Gen.generate_project ~seed ~target_lines:400 ())
+      in
+      let all = Array.of_list (List.concat units) in
+      (* extra units of twins (and verbatim repeats), spliced in at
+         seeded positions, so definitions and prototypes recur across
+         units in both directions *)
+      let units =
+        List.fold_left
+          (fun us (i, j) ->
+            let g = all.(i mod Array.length all) in
+            let extra = [ (if j mod 3 = 0 then g else twin g) ] in
+            let k = j mod (List.length us + 1) in
+            List.filteri (fun x _ -> x < k) us
+            @ (extra :: List.filteri (fun x _ -> x >= k) us))
+          units picks
+      in
+      let prog = Cprog.merge units in
+      let typedefs, comps, fundefs, protos, globals, tags = model_merge units in
+      let agree tbl model =
+        (* every name the units mention, defined or not *)
+        let names = Hashtbl.create 64 in
+        List.iter
+          (fun g ->
+            List.iter
+              (fun n -> Hashtbl.replace names (Sym.name n) ())
+              (match g with
+              | GFun f ->
+                  f.f_name
+                  :: Cast.fold_stmts_exprs Cast.expr_idents [] f.f_body
+              | GProto (n, _, _) | GTypedef (n, _, _) | GComp (n, _, _, _)
+              | GEnum (n, _, _) ->
+                  [ n ]
+              | GVar d -> [ d.d_name ]))
+          (List.concat units);
+        Hashtbl.fold
+          (fun n () ok ->
+            ok && Sym.Tbl.find_opt tbl (Sym.intern n) = Hashtbl.find_opt model n)
+          names true
+      in
+      agree prog.Cprog.typedefs typedefs
+      && agree prog.Cprog.comps comps
+      && agree prog.Cprog.fundefs fundefs
+      && agree prog.Cprog.protos protos
+      && agree prog.Cprog.globals globals
+      && List.map Sym.name prog.Cprog.comp_tags = tags
+      && prog.Cprog.order = List.concat units)
 
 let tokbuf_tests =
   [
@@ -543,6 +703,12 @@ let tokbuf_tests =
     QCheck_alcotest.to_alcotest prop_scanner_model;
     Alcotest.test_case "scanner longest-match edges" `Quick test_scanner_edges;
     Alcotest.test_case "token buffer intern table" `Quick test_tokbuf_interns;
+    QCheck_alcotest.to_alcotest prop_merge_model;
+    Alcotest.test_case "symbols: name and intern are inverse" `Quick
+      test_sym_roundtrip;
+    Alcotest.test_case "symbols: ids are dense" `Quick test_sym_dense;
+    Alcotest.test_case "symbols: one id across units" `Quick
+      test_sym_across_units;
   ]
 
 let tests = tests @ extra_tests @ tokbuf_tests

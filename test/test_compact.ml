@@ -340,14 +340,36 @@ let observable_digest (res : Cqual.Report.results)
   Buffer.contents b
 
 (* least solutions of the named program (global) variables, by name — the
-   variables themselves differ between two independent runs *)
+   variables themselves differ between two independent runs. The names
+   are every global and every identifier a body or global initializer
+   mentions; each is looked up among the declared and the auto-declared
+   globals. *)
 let global_leasts (env : Cqual.Analysis.env) : (string * string) list =
+  let open Cfront in
   let store = env.Cqual.Analysis.store in
   let sp = S.space store in
-  Hashtbl.fold
-    (fun name (c : Cqual.Qtypes.cell) acc ->
-      (name, Fmt.str "%a" (E.pp sp) (S.least store c.Cqual.Qtypes.q)) :: acc)
-    env.Cqual.Analysis.globals []
+  let names =
+    List.concat_map
+      (function
+        | Cast.GVar d ->
+            d.Cast.d_name
+            :: Option.fold ~none:[] ~some:(Cast.expr_idents []) d.Cast.d_init
+        | Cast.GFun f -> Cqual.Fdg.mentions f
+        | _ -> [])
+      env.Cqual.Analysis.prog.Cprog.order
+    |> List.sort_uniq Sym.compare
+  in
+  let least tbl name acc =
+    match Sym.Tbl.find_opt tbl name with
+    | Some (c : Cqual.Qtypes.cell) ->
+        (Sym.name name, Fmt.str "%a" (E.pp sp) (S.least store c.Cqual.Qtypes.q))
+        :: acc
+    | None -> acc
+  in
+  List.fold_right
+    (fun n acc ->
+      least env.Cqual.Analysis.globals n (least env.Cqual.Analysis.autos n acc))
+    names []
   |> List.sort compare
 
 let run_digest ~compact ~jobs mode prog =

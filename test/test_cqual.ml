@@ -303,6 +303,8 @@ let test_globals_monomorphic () =
 
 (* ---------------- FDG (Definition 4) ---------------- *)
 
+let scc_names (fdg : Fdg.t) = List.map (List.map Cfront.Sym.name) fdg.Fdg.sccs
+
 let test_fdg_order () =
   let src =
     "int c(void) { return 1; }\n\
@@ -314,7 +316,7 @@ let test_fdg_order () =
   Alcotest.(check int) "3 sccs" 3 (Fdg.scc_count fdg);
   (* reverse topological: callee first *)
   Alcotest.(check (list (list string)))
-    "order" [ [ "c" ]; [ "b" ]; [ "a" ] ] fdg.Fdg.sccs
+    "order" [ [ "c" ]; [ "b" ]; [ "a" ] ] (scc_names fdg)
 
 let test_fdg_scc () =
   let src =
@@ -327,7 +329,7 @@ let test_fdg_scc () =
   let fdg = Fdg.build prog in
   Alcotest.(check int) "2 sccs" 2 (Fdg.scc_count fdg);
   Alcotest.(check int) "largest = 2" 2 (Fdg.largest_scc fdg);
-  (match fdg.Fdg.sccs with
+  (match scc_names fdg with
   | [ scc1; [ "main" ] ] ->
       Alcotest.(check (list string))
         "mutual pair" [ "even"; "odd" ]
@@ -342,7 +344,7 @@ let test_fdg_function_pointer_mention () =
   in
   let prog = Session.compile src in
   let fdg = Fdg.build prog in
-  match fdg.Fdg.sccs with
+  match scc_names fdg with
   | [ [ "cb" ]; [ "install" ] ] -> ()
   | sccs ->
       Alcotest.failf "unexpected sccs: %a"
@@ -357,12 +359,15 @@ let model_fdg (prog : Cfront.Cprog.t) :
   let edges = Hashtbl.create 64 in
   List.iter
     (fun (f : Cfront.Cast.fundef) ->
-      Hashtbl.replace edges f.f_name
+      let name = Cfront.Sym.name f.f_name in
+      Hashtbl.replace edges name
         (List.filter
            (fun g ->
-             g <> f.f_name
-             && List.exists (fun (h : Cfront.Cast.fundef) -> h.f_name = g) funs)
-           (Fdg.mentions f)))
+             g <> name
+             && List.exists
+                  (fun (h : Cfront.Cast.fundef) -> Cfront.Sym.name h.f_name = g)
+                  funs)
+           (List.map Cfront.Sym.name (Fdg.mentions f))))
     funs;
   let index = Hashtbl.create 64 and lowlink = Hashtbl.create 64 in
   let stack = ref [] and counter = ref 0 and sccs = ref [] in
@@ -395,7 +400,8 @@ let model_fdg (prog : Cfront.Cprog.t) :
   in
   List.iter
     (fun (f : Cfront.Cast.fundef) ->
-      if not (Hashtbl.mem index f.f_name) then visit f.f_name)
+      let name = Cfront.Sym.name f.f_name in
+      if not (Hashtbl.mem index name) then visit name)
     funs;
   ( List.rev !sccs,
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) edges []) )
@@ -404,11 +410,16 @@ let test_fdg_model () =
   let check label prog =
     let fdg = Fdg.build prog in
     let sccs, edges = model_fdg prog in
-    Alcotest.(check (list (list string))) (label ^ ": sccs") sccs fdg.Fdg.sccs;
+    Alcotest.(check (list (list string))) (label ^ ": sccs") sccs (scc_names fdg);
     Alcotest.(check (list (pair string (list string))))
       (label ^ ": edges") edges
       (List.sort compare
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fdg.Fdg.edges []));
+         (Array.to_list
+            (Array.mapi
+               (fun v ws ->
+                 let name w = Cfront.Sym.name fdg.Fdg.graph.Fdg.names.(w) in
+                 (name v, Array.to_list (Array.map name ws)))
+               fdg.Fdg.graph.Fdg.succ)));
     Alcotest.(check int) (label ^ ": count") (List.length sccs) (Fdg.scc_count fdg)
   in
   List.iter
@@ -440,6 +451,56 @@ let test_function_pointer_call () =
     "void wr(char *p) { *p = 1; }\n\
      void f(char *q) { void (*fp)(char *) = wr; fp(q); }"
   in
+  check_verdict src "f" (`Param 0) 1 Report.Must_not_const
+
+(* A call through a variable holding a function pointer, written as a
+   plain call, links through the variable's signature: it is not a call to
+   an undeclared function (which would warn and escape the arguments),
+   and a parameter shadows a global function of the same name. *)
+let clean_call src =
+  let r = results src in
+  Alcotest.(check int) "no type errors" 0 r.Report.type_errors;
+  Alcotest.(check (list string)) "no warnings" [] r.Report.warnings
+
+let test_call_through_pointer_param () =
+  let src =
+    "int apply(int (*cb)(const char *), const char *s) { return cb(s); }"
+  in
+  clean_call src;
+  check_verdict src "apply" (`Param 1) 1 Report.Must_const
+
+let test_call_through_pointer_global () =
+  clean_call
+    "int (*hook)(const char *);\n\
+     int call_hook(const char *s) { return hook(s); }"
+
+let test_param_shadows_global_function () =
+  let src =
+    "int g(char *p) { *p = 0; return 0; }\n\
+     int h(int (*g)(const char *), char *s) { return g(s); }"
+  in
+  clean_call src;
+  (* linked to the parameter's const signature, not to the global g that
+     writes through its argument *)
+  check_verdict src "h" (`Param 1) 1 Report.Either
+
+(* A prototype written inside a body names the external function, not a
+   pointer variable: the call resolves as a direct call. *)
+let test_body_prototype_defined () =
+  let r =
+    results
+      "void w(char *p) { *p = 0; }\n\
+       void f(const char *s) { void w(char *); w(s); }"
+  in
+  Alcotest.(check int) "write through const" 1 r.Report.type_errors
+
+let test_body_prototype_library () =
+  let src = "void f(char *s) { void lib(char *); lib(s); }" in
+  let r = results src in
+  (* no file-scope prototype: the argument escapes, as for any call to an
+     undeclared function *)
+  Alcotest.(check (list string))
+    "undeclared" [ "call to undeclared function lib" ] r.Report.warnings;
   check_verdict src "f" (`Param 0) 1 Report.Must_not_const
 
 let test_global_init_flow () =
@@ -530,6 +591,16 @@ let tests =
     Alcotest.test_case "FDG = string-keyed Tarjan model" `Quick test_fdg_model;
     Alcotest.test_case "call through function pointer" `Quick
       test_function_pointer_call;
+    Alcotest.test_case "plain call through a pointer parameter" `Quick
+      test_call_through_pointer_param;
+    Alcotest.test_case "plain call through a pointer global" `Quick
+      test_call_through_pointer_global;
+    Alcotest.test_case "parameter shadows a global function" `Quick
+      test_param_shadows_global_function;
+    Alcotest.test_case "in-body prototype of a defined function" `Quick
+      test_body_prototype_defined;
+    Alcotest.test_case "in-body prototype of a library function" `Quick
+      test_body_prototype_library;
     Alcotest.test_case "global initializer flow" `Quick test_global_init_flow;
     Alcotest.test_case "library functions contribute no positions" `Quick
       test_no_positions_for_library;

@@ -7,6 +7,7 @@ module Diag = Cfront.Diag
 module Cparse = Cfront.Cparse
 module Cast = Cfront.Cast
 module Cprog = Cfront.Cprog
+module Sym = Cfront.Sym
 module Budget = Typequal.Budget
 
 let contains ~sub s =
@@ -225,6 +226,27 @@ let test_unknown_typedef_degrades () =
     "typedef reason" true
     (contains ~sub:"unknown typedef" reason)
 
+(* Struct layouts are built in first-definition order, so the warnings
+   for structs whose fields fail to expand come in that order too (the
+   warning list is newest first). *)
+let test_broken_struct_warning_order () =
+  let src =
+    "typedef int zt, ;\n\
+     struct beta { zt b; };\n\
+     struct alpha { zt a; };\n\
+     struct gamma { zt c; };\n\
+     void f(struct alpha *x, struct beta *y, struct gamma *z) {}\n"
+  in
+  let r = Session.run_sources ~mode:Analysis.Poly [ ("<input>", src) ] in
+  let warn tag =
+    Printf.sprintf
+      "struct %s: unknown typedef zt; fields treated as unconstrained" tag
+  in
+  Alcotest.(check (list string))
+    "newest first"
+    [ warn "gamma"; warn "alpha"; warn "beta" ]
+    r.Session.results.Report.warnings
+
 (* ------------------------------------------------------------------ *)
 (* Budgets                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -304,8 +326,8 @@ module SS = Set.Make (String)
 let rec tags_of_ctype acc (t : Cast.ctype) =
   let open Cast in
   match t with
-  | TStruct (tag, _) -> SS.add tag acc
-  | TNamed (n, _) -> SS.add ("typedef:" ^ n) acc
+  | TStruct (tag, _) -> SS.add (Sym.name tag) acc
+  | TNamed (n, _) -> SS.add ("typedef:" ^ Sym.name n) acc
   | TPtr (t, _) | TArray (t, _, _) -> tags_of_ctype acc t
   | TFun (r, ps, _) ->
       List.fold_left
@@ -363,7 +385,8 @@ let rec stmt_ctypes acc (s : Cast.stmt) =
   | SDefault s | SLabel (_, s) -> stmt_ctypes acc s
 
 let all_tags prog =
-  Hashtbl.fold (fun k _ acc -> SS.add k acc) prog.Cprog.comps SS.empty
+  List.fold_left (fun acc k -> SS.add (Sym.name k) acc) SS.empty
+    prog.Cprog.comp_tags
 
 (* Everything a function's constraints can touch outside itself: the
    identifiers it mentions (globals, callees, library functions — plus
@@ -371,7 +394,7 @@ let all_tags prog =
    type it uses. If typedef expansion fails the tag set is unknowable, so
    it conservatively couples to every tag in the program. *)
 let fun_vocab prog (f : Cast.fundef) : SS.t =
-  let idents = SS.of_list (f.Cast.f_name :: Fdg.mentions f) in
+  let idents = SS.of_list (List.map Sym.name (f.Cast.f_name :: Fdg.mentions f)) in
   let ctypes =
     (f.Cast.f_ret :: List.map snd f.Cast.f_params)
     @ List.fold_left stmt_ctypes [] f.Cast.f_body
@@ -392,10 +415,12 @@ let globals_vocab prog (gs : Cast.global list) : SS.t =
     (fun acc g ->
       match g with
       | Cast.GVar d ->
-          let acc = SS.add d.Cast.d_name acc in
+          let acc = SS.add (Sym.name d.Cast.d_name) acc in
           let acc =
             match d.Cast.d_init with
-            | Some e -> SS.union acc (SS.of_list (Cast.expr_idents [] e))
+            | Some e ->
+                SS.union acc
+                  (SS.of_list (List.map Sym.name (Cast.expr_idents [] e)))
             | None -> acc
           in
           let ctypes = decl_ctypes [] d in
@@ -464,7 +489,7 @@ let mutate kind a b src =
 
 let funs_of p =
   List.filter_map
-    (function Cast.GFun f -> Some (f.Cast.f_name, f) | _ -> None)
+    (function Cast.GFun f -> Some (Sym.name f.Cast.f_name, f) | _ -> None)
     p.Cparse.pr_prog
 
 let nonfuns_of p =
@@ -580,6 +605,8 @@ let tests =
       test_int_overflow_session;
     Alcotest.test_case "degrade: unknown typedef" `Quick
       test_unknown_typedef_degrades;
+    Alcotest.test_case "degrade: broken struct warnings in definition order"
+      `Quick test_broken_struct_warning_order;
     Alcotest.test_case "budget: worklist pops" `Quick test_budget_pops;
     Alcotest.test_case "budget: variable cap" `Quick test_budget_vars;
     Alcotest.test_case "budget: deadline" `Quick test_budget_deadline;

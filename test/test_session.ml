@@ -287,6 +287,66 @@ let test_daemon_whatif_pairs () =
             (String.concat " | " lines))
     [ ("same key", k1, k1); ("distinct keys", k1, k2) ]
 
+(* ---------------- symbols across edits and processes ---------------- *)
+
+(* re-lexing an edited unit resolves its names to the ids they already
+   have: an edit that introduces no new name mints no symbol *)
+let test_update_keeps_symbols () =
+  let s = Session.create ~mode:Analysis.Poly clean_units in
+  let r0 = Session.run s in
+  let name, src = List.hd clean_units in
+  let before = Cfront.Sym.count () in
+  let edited = src ^ "\n" in
+  ignore (Session.update_unit s name edited : [ `Added | `Updated | `Unchanged ]);
+  let r1 = Session.run s in
+  Alcotest.(check int) "no symbol minted by the edit" before (Cfront.Sym.count ());
+  Alcotest.(check string) "same report" (Test_parallel.digest r0)
+    (Test_parallel.digest r1)
+
+(* A unit payload written by another process, whose symbol table minted
+   the same names in another order, is rebased onto this process's ids:
+   the warm run equals the cold one. *)
+let test_cache_payload_remapped () =
+  let dir = Test_cache.fresh_dir () and srcdir = Test_cache.fresh_dir () in
+  let units =
+    [
+      ( Filename.concat srcdir "remap_a.c",
+        "typedef struct { char *remap_buf; int remap_len; } remap_t;\n\
+         struct remap_node { struct remap_node *remap_next; char *remap_data; };\n\
+         int remap_peek(remap_t *remap_r) { return *remap_r->remap_buf; }\n\
+         char *remap_head(struct remap_node *remap_n) { return remap_n->remap_data; }\n" );
+      ( Filename.concat srcdir "remap_b.c",
+        "int remap_peek(void *remap_r);\n\
+         char *remap_head(struct remap_node *remap_n);\n\
+         void remap_fill(struct remap_node *remap_m, char *remap_s) {\n\
+         remap_m->remap_data = remap_s; *remap_head(remap_m) = 0; }\n" );
+    ]
+  in
+  List.iter (fun (path, src) -> Test_cache.write_file path src) units;
+  (* the daemon is a fresh process: it mints these names in source order,
+     right after the keywords, and writes one unit payload per file *)
+  let status, lines =
+    run_daemon
+      ([ "--cache"; dir; "--mode"; "mono" ] @ List.map fst units)
+      "{\"id\":1,\"method\":\"run\"}\n"
+  in
+  Alcotest.(check bool) "daemon exit 0" true (status = Unix.WEXITED 0);
+  Alcotest.(check int) "one answer" 1 (List.length lines);
+  (* this process mints them in reverse, after whatever it interned so
+     far, so every id differs from the writer's *)
+  List.iter
+    (fun n -> ignore (Cfront.Sym.intern n : Cfront.Sym.t))
+    [ "remap_s"; "remap_m"; "remap_fill"; "remap_n"; "remap_head"; "remap_r";
+      "remap_peek"; "remap_data"; "remap_next"; "remap_node"; "remap_t";
+      "remap_len"; "remap_buf" ];
+  let cold = Session.run_sources ~mode:Analysis.Poly units in
+  let cs = Test_cache.open_cache_exn dir in
+  let warm = Session.run_sources ~mode:Analysis.Poly ~cache:cs units in
+  Alcotest.(check (pair int int)) "both units served from the payloads" (2, 0)
+    (Test_cache.kind_counts cs "unit");
+  Alcotest.(check string) "remapped warm = cold" (Test_parallel.digest cold)
+    (Test_parallel.digest warm)
+
 (* ---------------- the wire format ---------------- *)
 
 let roundtrip j =
@@ -373,6 +433,10 @@ let tests =
       test_whatif_task_matches_inline;
     Alcotest.test_case "daemon: whatif pairs in one write" `Quick
       test_daemon_whatif_pairs;
+    Alcotest.test_case "symbols: an edit mints no symbol" `Quick
+      test_update_keeps_symbols;
+    Alcotest.test_case "cache: payload from another intern order" `Quick
+      test_cache_payload_remapped;
     Alcotest.test_case "wire: roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire: unicode escapes" `Quick test_wire_unicode;
     Alcotest.test_case "wire: malformed input" `Quick test_wire_errors;
