@@ -102,7 +102,9 @@ type fundef = {
   f_ret : ctype;
   f_params : (Sym.t * ctype) list;
   f_varargs : bool;
-  f_body : stmt list;
+  mutable f_body : stmt list;
+      (** emptied by a releasing batch analysis once the function's SCC
+          is done, so the body can be collected (see [Analysis.run]) *)
   f_static : bool;
   f_line : int;
   f_name_loc : int * int;

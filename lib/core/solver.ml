@@ -5,9 +5,8 @@
     solver (kept verbatim as {!Solver_ref}): masked atomic constraints
     over a Birkhoff-encoded lattice, union-find with partial online cycle
     elimination, insertion-time edge/bound dedup, incremental worklist
-    solving with a monotone error table, recorded constraint schemes with
-    renaming instantiation, and batched export/absorb (the what-if
-    store clone).
+    solving with a monotone error table, and recorded constraint schemes
+    with renaming instantiation.
 
     What changed is the {e representation} (DESIGN.md, "Flat-arena
     solver"):
@@ -25,15 +24,14 @@
       list-prepend order cell for cell. Cycle collapse relinks cells
       between chains without allocating.
     - The [(src, dst, mask)] edge-dedup and [(rep, const, mask, side)]
-      bound-dedup tables are open-addressing int-keyed hash sets
+      bound-dedup tables are open-addressing hash sets over 3-int keys
       ([Iset]) — no tuple allocation, no polymorphic hashing.
+    - The store keeps no atom log: an atom is built only for an active
+      {!recording}. The what-if clone is {!copy}, a column-for-column
+      copy of the store.
     - The propagation worklist is an int ring buffer with a byte-array
       in-queue mark; the dirty set is an insertion-ordered int stack with
       a byte-array membership mark.
-    - [absorb] bulk-creates the batch's fresh variables in one tight loop
-      over the exported arena segment and replays atoms through the normal
-      entry points, so dedup and cycle collapse apply exactly as in a
-      serial run.
 
     Counter-for-counter and byte-for-byte, the observable behaviour
     (solutions, error messages, {!stats}) matches {!Solver_ref}; the
@@ -46,57 +44,55 @@ module Space = Lattice.Space
 type reason = string option
 
 (* ------------------------------------------------------------------ *)
-(* Open-addressing int-keyed hash set (4-int keys)                     *)
+(* Open-addressing int-keyed hash set (3-int keys)                     *)
 (* ------------------------------------------------------------------ *)
 
 (* The dedup tables: linear probing over a power-of-two table, keys
-   stored inline in a flat [int array] (4 slots per entry), occupancy in
+   stored inline in a flat [int array] (3 slots per entry), occupancy in
    a byte array. Deterministic by construction (the hash mixes the key
    ints only), so dedup decisions — which feed the [edges_deduped]
    counter — are reproducible across runs and across solver cores. *)
 module Iset = struct
   type t = {
-    mutable keys : int array;  (* 4 * cap *)
+    mutable keys : int array;  (* 3 * cap *)
     mutable state : Bytes.t;   (* cap bytes; '\001' = occupied *)
     mutable cap : int;         (* power of two *)
     mutable count : int;
   }
 
   let create ?(cap = 64) () =
-    { keys = Array.make (4 * cap) 0; state = Bytes.make cap '\000'; cap;
+    { keys = Array.make (3 * cap) 0; state = Bytes.make cap '\000'; cap;
       count = 0 }
 
-  let hash a b c d =
-    ((a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (c * 0xC2B2AE35)
-     lxor (d * 0x27D4EB2F))
-    land max_int
+  let copy s = { s with keys = Array.copy s.keys; state = Bytes.copy s.state }
+
+  let hash a b c =
+    ((a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (c * 0xC2B2AE35)) land max_int
 
   (* membership test that inserts on miss; returns [true] iff the key was
      already present *)
-  let rec mem_add s a b c d =
+  let rec mem_add s a b c =
     if 2 * s.count >= s.cap then grow s;
     let m = s.cap - 1 in
-    let i = ref (hash a b c d land m) in
+    let i = ref (hash a b c land m) in
     let r = ref (-1) in
     while !r < 0 do
       let j = !i in
       if Bytes.unsafe_get s.state j = '\000' then begin
         Bytes.unsafe_set s.state j '\001';
-        let k = 4 * j in
+        let k = 3 * j in
         Array.unsafe_set s.keys k a;
         Array.unsafe_set s.keys (k + 1) b;
         Array.unsafe_set s.keys (k + 2) c;
-        Array.unsafe_set s.keys (k + 3) d;
         s.count <- s.count + 1;
         r := 0
       end
       else begin
-        let k = 4 * j in
+        let k = 3 * j in
         if
           Array.unsafe_get s.keys k = a
           && Array.unsafe_get s.keys (k + 1) = b
           && Array.unsafe_get s.keys (k + 2) = c
-          && Array.unsafe_get s.keys (k + 3) = d
         then r := 1
         else i := (j + 1) land m
       end
@@ -106,14 +102,13 @@ module Iset = struct
   and grow s =
     let ocap = s.cap and okeys = s.keys and ostate = s.state in
     s.cap <- s.cap * 2;
-    s.keys <- Array.make (4 * s.cap) 0;
+    s.keys <- Array.make (3 * s.cap) 0;
     s.state <- Bytes.make s.cap '\000';
     s.count <- 0;
     for j = 0 to ocap - 1 do
       if Bytes.unsafe_get ostate j = '\001' then begin
-        let k = 4 * j in
-        ignore
-          (mem_add s okeys.(k) okeys.(k + 1) okeys.(k + 2) okeys.(k + 3))
+        let k = 3 * j in
+        ignore (mem_add s okeys.(k) okeys.(k + 1) okeys.(k + 2))
       end
     done
 end
@@ -152,9 +147,6 @@ and t = {
          traversal step, the reason the chains beat pointer-chased lists *)
   mutable e_reason : reason array;
   mutable necells : int;
-  (* the atom log, insertion order *)
-  mutable log : atom array;
-  mutable nlog : int;
   mutable ground_errors : error list;
   errors : (int, error) Hashtbl.t;
       (* persistent bound-violation table, keyed by the representative id
@@ -181,9 +173,9 @@ and t = {
       (* generation-stamped seen-set for the cycle-detection DFS: a slot
          equal to [fp_gen] means visited this call — no per-call allocation *)
   mutable fp_gen : int;
-  edge_seen : Iset.t;  (* (src, dst, mask, 0) *)
+  edge_seen : Iset.t;  (* (src, dst, mask) *)
   bound_seen : Iset.t;
-      (* ((rep << 1) | is_upper, const, mask, 0): constant bounds already
+      (* ((rep << 1) | is_upper, const, mask): constant bounds already
          applied to a representative *)
   cycle_elim : bool;
   mutable budget : Budget.t option;
@@ -195,7 +187,6 @@ and t = {
   mutable s_full : int;
   mutable s_pops : int;
   mutable s_solve_s : float;
-  mutable s_absorb_s : float;
   (* per-phase wall time, accumulated here so one record travels with the
      store: compact/instantiate are credited by this module, the analysis
      phases (congen/generalize/report) by the client via [note_phase] *)
@@ -275,8 +266,6 @@ let create ?(cycle_elim = true) space =
     ecells = [||];
     e_reason = [||];
     necells = 0;
-    log = [||];
-    nlog = 0;
     ground_errors = [];
     errors = Hashtbl.create 16;
     recorders = [];
@@ -304,7 +293,6 @@ let create ?(cycle_elim = true) space =
     s_full = 0;
     s_pops = 0;
     s_solve_s = 0.;
-    s_absorb_s = 0.;
     s_congen_s = 0.;
     s_generalize_s = 0.;
     s_compact_s = 0.;
@@ -339,7 +327,7 @@ let stats t =
     full_solves = t.s_full;
     worklist_pops = t.s_pops;
     solve_s = t.s_solve_s;
-    absorb_s = t.s_absorb_s;
+    absorb_s = 0.;
     congen_s = t.s_congen_s;
     generalize_s = t.s_generalize_s;
     compact_s = t.s_compact_s;
@@ -502,19 +490,9 @@ let repr v =
   let t = v.store in
   t.objs.(find_id t v.id)
 
+(* Atoms exist only for the active recorders: the store keeps no log, so
+   an unrecorded constraint allocates no atom at all. *)
 let record t atom = List.iter (fun r -> r := atom :: !r) t.recorders
-
-let log_atom t atom =
-  record t atom;
-  let cap = Array.length t.log in
-  if t.nlog >= cap then begin
-    let cap' = if cap = 0 then 256 else cap * 2 in
-    let b = Array.make cap' atom in
-    Array.blit t.log 0 b 0 cap;
-    t.log <- b
-  end;
-  t.log.(t.nlog) <- atom;
-  t.nlog <- t.nlog + 1
 
 let mark_dirty t i =
   if Bytes.unsafe_get t.dirty_mark i = '\000' then begin
@@ -556,9 +534,9 @@ let new_cell t dst mask reason next =
    packs the side flag into the representative id's low bit. *)
 let add_leq_vc ?reason ?mask t v c =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-  log_atom t (Avc (v, c, mask, reason));
+  if t.recorders <> [] then record t (Avc (v, c, mask, reason));
   let r = find_id t v.id in
-  if Iset.mem_add t.bound_seen ((r lsl 1) lor 1) c mask 0 then
+  if Iset.mem_add t.bound_seen ((r lsl 1) lor 1) c mask then
     t.s_dedup <- t.s_dedup + 1
   else begin
     t.hi_reasons.(r) <- (c, mask, reason) :: t.hi_reasons.(r);
@@ -574,9 +552,9 @@ let add_leq_vc ?reason ?mask t v c =
 (* const <= var, restricted to [mask]. Dual of [add_leq_vc]. *)
 let add_leq_cv ?reason ?mask t c v =
   let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-  log_atom t (Acv (c, v, mask, reason));
+  if t.recorders <> [] then record t (Acv (c, v, mask, reason));
   let r = find_id t v.id in
-  if Iset.mem_add t.bound_seen ((r lsl 1) lor 0) c mask 0 then
+  if Iset.mem_add t.bound_seen ((r lsl 1) lor 0) c mask then
     t.s_dedup <- t.s_dedup + 1
   else begin
     t.lo_reasons.(r) <- (c, mask, reason) :: t.lo_reasons.(r);
@@ -615,7 +593,7 @@ let absorb_id t r o =
     e := t.ecells.(b + 2);
     let s = find_id t t.ecells.(b) in
     if s <> r then begin
-      if Iset.mem_add t.edge_seen r s t.ecells.(b + 1) 0 then
+      if Iset.mem_add t.edge_seen r s t.ecells.(b + 1) then
         t.s_dedup <- t.s_dedup + 1
       else begin
         t.ecells.(b) <- s;
@@ -632,7 +610,7 @@ let absorb_id t r o =
     e := t.ecells.(b + 2);
     let p = find_id t t.ecells.(b) in
     if p <> r then begin
-      if Iset.mem_add t.edge_seen p r t.ecells.(b + 1) 0 then
+      if Iset.mem_add t.edge_seen p r t.ecells.(b + 1) then
         t.s_dedup <- t.s_dedup + 1
       else begin
         t.ecells.(b) <- p;
@@ -705,10 +683,10 @@ let try_collapse t ra rb =
 let add_leq_vv ?reason ?mask t a b =
   if a != b then begin
     let mask = Option.value mask ~default:(Elt.full_mask t.sp) in
-    log_atom t (Avv (a, b, mask, reason));
+    if t.recorders <> [] then record t (Avv (a, b, mask, reason));
     let ra = find_id t a.id and rb = find_id t b.id in
     if ra <> rb then begin
-      if Iset.mem_add t.edge_seen ra rb mask 0 then
+      if Iset.mem_add t.edge_seen ra rb mask then
         t.s_dedup <- t.s_dedup + 1
         (* the identical edge already exists between these representatives:
            the system is unchanged, [solved] stays valid *)
@@ -1135,98 +1113,65 @@ let instantiate t s =
   rn
 
 (* ------------------------------------------------------------------ *)
-(* Batched constraint merge (store clone for what-if queries)          *)
+(* Store copy (the what-if clone)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch is the complete, ordered content of a store, exported as two
-   array slices of the arena: every variable in creation order (= id
-   order) and every atom in insertion order. Exporting a store and
-   absorbing it into another replays exactly the operations that built
-   it, so dedup, cycle collapse and the final solution are identical;
-   the what-if queries clone the solved store this way. *)
-type batch = {
-  b_vars : var array;  (* creation order *)
-  b_atoms : atom array;  (* insertion order *)
-}
-
-let export t =
-  {
-    b_vars = Array.sub t.objs 0 t.nvars;
-    b_atoms = Array.sub t.log 0 t.nlog;
-  }
-
-let batch_vars b = Array.length b.b_vars
-let batch_atoms b = Array.length b.b_atoms
-
-(* Replay [b] into [t]. [?bind] resolves batch variables that must map to
-   pre-existing variables of [t]; every other batch variable is re-created
-   fresh, {e in the batch's creation order} (one tight ascending loop over
-   the exported arena segment), so the absorbing store allocates the same
-   number of variables in the same sequence as a run that had generated
-   the batch's constraints directly. Returns the realized renaming.
-
-   Splice-fast path: [export] cuts [b_vars] straight out of the source
-   arena's object column, so a batch variable's [id] {e is} its index in
-   [b_vars] (checked by identity below — a foreign or out-of-segment
-   variable simply maps to itself, like the Hashtbl miss it replaces).
-   The renaming is therefore a flat array indexed by creation id — no
-   per-variable hashing, no boxed key allocation — while every atom still
-   replays through the normal [add_leq_*] entry points so dedup and
-   online cycle elimination fire exactly as in a serial run (counter
-   parity with {!absorb_replay} is property-tested). *)
-let absorb t ?bind (b : batch) =
-  let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
-  let n = Array.length b.b_vars in
-  if n = 0 then begin
-    t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-    fun _ -> None
-  end
-  else begin
-    let ren = Array.make n b.b_vars.(0) in
-    for i = 0 to n - 1 do
-      let v = b.b_vars.(i) in
-      ren.(i) <-
-        (match bound v with
-        | Some g -> g
-        | None -> fresh ~name:v.vname t)
-    done;
-    let in_seg v = v.id >= 0 && v.id < n && b.b_vars.(v.id) == v in
-    let rn v = if in_seg v then Array.unsafe_get ren v.id else v in
-    for i = 0 to Array.length b.b_atoms - 1 do
-      match b.b_atoms.(i) with
-      | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
-      | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c (rn v)
-      | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t (rn x) (rn y)
-    done;
-    t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-    fun v -> if in_seg v then Some ren.(v.id) else None
-  end
-
-(* The pre-splice merge: identical semantics through a uid-keyed Hashtbl
-   renaming. Kept as the parity oracle for the fast path above. *)
-let absorb_replay t ?bind (b : batch) =
-  let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
-  let n = Array.length b.b_vars in
-  let map = Hashtbl.create (max 16 n) in
-  for i = 0 to n - 1 do
-    let v = b.b_vars.(i) in
-    match bound v with
-    | Some g -> Hashtbl.replace map v.uid g
-    | None -> Hashtbl.replace map v.uid (fresh ~name:v.vname t)
-  done;
-  let rn v =
-    match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v
+(* An independent store in exactly [t]'s state. Every used column prefix,
+   the edge arena, both dedup sets, the dirty set, the error table and the
+   counters are copied at their used size; every variable gets a fresh
+   handle (same id and name, a fresh uid, the copy as its store). The
+   worklist, the in-queue marks and the DFS stamps are empty between
+   operations, so the copy starts them fresh. Any operation sequence then
+   yields identical solutions, errors and counters on both stores, which
+   share no mutable state. The copy carries no budget and no recorders.
+   A mutable field added to [t] must be copied here too: [{ t with ... }]
+   would otherwise share it. *)
+let copy t =
+  let n = t.nvars in
+  let sub a = Array.sub a 0 n in
+  let c =
+    {
+      t with
+      objs = [||];
+      parent = sub t.parent;
+      rank = sub t.rank;
+      lo_bound = sub t.lo_bound;
+      hi_bound = sub t.hi_bound;
+      lo = sub t.lo;
+      hi = sub t.hi;
+      succ_head = sub t.succ_head;
+      pred_head = sub t.pred_head;
+      lo_reasons = sub t.lo_reasons;
+      hi_reasons = sub t.hi_reasons;
+      ecells = Array.sub t.ecells 0 (3 * t.necells);
+      e_reason = Array.sub t.e_reason 0 t.necells;
+      errors = Hashtbl.create (max 16 (Hashtbl.length t.errors));
+      recorders = [];
+      dirty_stack = Array.sub t.dirty_stack 0 (max 1 t.ndirty);
+      dirty_mark = Bytes.sub t.dirty_mark 0 n;
+      wl = Array.make 64 0;
+      wl_head = 0;
+      wl_tail = 0;
+      inq = Bytes.make n '\000';
+      touched = Array.make 64 0;
+      ntouched = 0;
+      fp_stamp = Array.make n 0;
+      fp_gen = 0;
+      edge_seen = Iset.copy t.edge_seen;
+      bound_seen = Iset.copy t.bound_seen;
+      budget = None;
+    }
   in
-  for i = 0 to Array.length b.b_atoms - 1 do
-    match b.b_atoms.(i) with
-    | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
-    | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c (rn v)
-    | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t (rn x) (rn y)
-  done;
-  t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-  fun v -> Hashtbl.find_opt map v.uid
+  let uid0 = Atomic.fetch_and_add uid_counter n in
+  c.objs <-
+    Array.init n (fun i ->
+        { id = i; vname = t.objs.(i).vname; uid = uid0 + i; store = c });
+  let rn v = if v.store == t then c.objs.(v.id) else v in
+  Hashtbl.iter
+    (fun k e ->
+      Hashtbl.add c.errors k { e with err_var = Option.map rn e.err_var })
+    t.errors;
+  (c, rn)
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c
@@ -1322,9 +1267,9 @@ let solve_least_naive t =
    Masked atoms (per-coordinate well-formedness conditions) are treated
    conservatively: a variable with any non-full-mask atom is kept.
 
-   Atom dedup packs the (tag, var ids, const, mask) key into int-keyed
-   [Iset] entries — the tag rides in the low bits of the first id — so no
-   tuple is allocated and no polymorphic hashing runs. *)
+   Atom dedup packs the (tag, var id, const or var id, mask) key into a
+   3-int [Iset] entry — the tag rides in the low bits of the first id — so
+   no tuple is allocated and no polymorphic hashing runs. *)
 
 let simplify_scheme t ~(interface : var list) (s : scheme) : scheme =
   let full = Lattice.Elt.full_mask t.sp in
@@ -1346,12 +1291,12 @@ let simplify_scheme t ~(interface : var list) (s : scheme) : scheme =
           mark x;
           mark y)
     s.atoms;
-  (* dedup: key = (tag in low bits of id1, id2, const, mask) *)
+  (* dedup: key = (tag in low bits of id1, const or id2, mask) *)
   let seen = Iset.create ~cap:128 () in
   let seen_before = function
-    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 0) (-1) c m
-    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 1) (-1) c m
-    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.id lsl 2) lor 2) y.id 0 m
+    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 0) c m
+    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.id lsl 2) lor 1) c m
+    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.id lsl 2) lor 2) y.id m
   in
   let atoms =
     ref
@@ -1526,8 +1471,8 @@ let scheme_size s = List.length s.atoms
    their original order, composed atoms append in generation order, and
    the local list keeps its original order filtered to interface members
    and variables still mentioned. The atom-dedup keys are packed into
-   int-keyed [Iset] entries exactly as in {!simplify_scheme}, but over
-   [uid]s (compaction runs where variables of two stores can mix). *)
+   3-int [Iset] entries exactly as in {!simplify_scheme}, but over [uid]s
+   (compaction runs where variables of two stores can mix). *)
 let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
   let c0 = Unix.gettimeofday () in
   let sp = t.sp in
@@ -1536,13 +1481,27 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
     t.s_sv_before <- t.s_sv_before + nl;
     t.s_se_before <- t.s_se_before + na
   end;
-  (* scratch tables sized to the scheme: most schemes are a handful of
-     locals and atoms, and this runs once per SCC — fixed 64-bucket
-     tables dominated the pass's allocation at scale *)
-  let local_uids = Hashtbl.create (max 8 nl) in
-  List.iter (fun v -> Hashtbl.replace local_uids v.uid ()) s.locals;
-  let iface = Hashtbl.create (max 8 (List.length interface)) in
-  List.iter (fun v -> Hashtbl.replace iface v.uid ()) interface;
+  (* Scratch sized to the scheme: this runs once per SCC and most schemes
+     are a handful of locals and atoms. The locals are numbered densely
+     (first occurrence first) through the call's one uid table; every
+     per-local set is an array of that size. A non-local numbers -1: no
+     per-local question is ever asked of it. *)
+  let index = Hashtbl.create (max 8 nl) in
+  let n =
+    List.fold_left
+      (fun k v ->
+        if Hashtbl.mem index v.uid then k
+        else begin
+          Hashtbl.add index v.uid k;
+          k + 1
+        end)
+      0 s.locals
+  in
+  let slot v = try Hashtbl.find index v.uid with Not_found -> -1 in
+  let set b i = if i >= 0 then Bytes.unsafe_set b i '\001' in
+  let mem b i = i >= 0 && Bytes.unsafe_get b i = '\001' in
+  let iface = Bytes.make n '\000' in
+  List.iter (fun v -> set iface (slot v)) interface;
   (* dedup + vacuous-drop filter; [seen] persists across passes: a key can
      only name a removed atom if one of its endpoints was eliminated, and
      composition never reproduces atoms on eliminated endpoints *)
@@ -1557,58 +1516,54 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
     | Avv (x, y, m, _) -> x.uid = y.uid || m land Elt.full_mask sp = 0
   in
   let seen_before = function
-    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 0) (-1) c m
-    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 1) (-1) c m
-    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.uid lsl 2) lor 2) y.uid 0 m
+    | Avc (v, c, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 0) c m
+    | Acv (c, v, m, _) -> Iset.mem_add seen ((v.uid lsl 2) lor 1) c m
+    | Avv (x, y, m, _) -> Iset.mem_add seen ((x.uid lsl 2) lor 2) y.uid m
   in
   let fresh_atom a = (not (vacuous a)) && not (seen_before a) in
   let atoms = ref (List.filter fresh_atom s.atoms) in
-  let eliminated = Hashtbl.create (max 8 nl) in
+  let eliminated = Bytes.make n '\000' and kill = Bytes.make n '\000' in
+  (* per local, its lower-side (x <= v) and upper-side atoms, newest
+     first; rebuilt every pass *)
+  let lowers = Array.make n [] and uppers = Array.make n [] in
+  let add side v a =
+    let i = slot v in
+    if i >= 0 then side.(i) <- a :: side.(i)
+  in
+  let killed v = mem kill (slot v) in
+  (* never compose against a neighbour killed this pass: the pass-start
+     index would resurrect its atoms; the next pass sees the rebuilt
+     index *)
+  let touches_killed = function
+    | Avc (x, _, _, _) | Acv (_, x, _, _) -> killed x
+    | Avv (x, y, _, _) -> killed x || killed y
+  in
   let changed = ref true in
   let passes = ref 0 in
   while !changed && !passes < 64 do
     changed := false;
     incr passes;
-    let lowers = Hashtbl.create (max 8 nl)
-    and uppers = Hashtbl.create (max 8 nl) in
-    let add tbl uid a =
-      Hashtbl.replace tbl uid
-        (a :: (try Hashtbl.find tbl uid with Not_found -> []))
-    in
+    Array.fill lowers 0 n [];
+    Array.fill uppers 0 n [];
+    Bytes.fill kill 0 n '\000';
     List.iter
       (fun a ->
         match a with
-        | Avc (v, _, _, _) -> add uppers v.uid a
-        | Acv (_, v, _, _) -> add lowers v.uid a
+        | Avc (v, _, _, _) -> add uppers v a
+        | Acv (_, v, _, _) -> add lowers v a
         | Avv (x, y, _, _) ->
-            add uppers x.uid a;
-            add lowers y.uid a)
+            add uppers x a;
+            add lowers y a)
       !atoms;
-    let kill = Hashtbl.create 16 in
     let extra = ref [] in
     List.iter
       (fun v ->
-        if
-          Hashtbl.mem local_uids v.uid
-          && (not (Hashtbl.mem iface v.uid))
-          && (not (Hashtbl.mem eliminated v.uid))
-          && not (Hashtbl.mem kill v.uid)
-        then begin
-          let lo = try Hashtbl.find lowers v.uid with Not_found -> [] in
-          let up = try Hashtbl.find uppers v.uid with Not_found -> [] in
-          (* never compose against a neighbour killed this pass: the
-             pass-start index would resurrect its atoms; the next pass
-             sees the rebuilt index *)
-          let neighbour_killed =
-            List.exists
-              (fun a ->
-                match a with
-                | Avc (x, _, _, _) | Acv (_, x, _, _) -> Hashtbl.mem kill x.uid
-                | Avv (x, y, _, _) ->
-                    Hashtbl.mem kill x.uid || Hashtbl.mem kill y.uid)
-              (lo @ up)
-          in
-          if not neighbour_killed then begin
+        let i = slot v in
+        if not (mem iface i || mem eliminated i || mem kill i) then begin
+          let lo = lowers.(i) and up = uppers.(i) in
+          if
+            not (List.exists touches_killed lo || List.exists touches_killed up)
+          then begin
             let acvs =
               List.filter_map
                 (function Acv (c, _, m, r) -> Some (c, m, r) | _ -> None)
@@ -1653,8 +1608,8 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
             let nup = List.length avcs + List.length succs in
             let ncomposed = nlo * List.length succs in
             if eliminable && ncomposed <= nlo + nup + 2 then begin
-              Hashtbl.replace kill v.uid ();
-              Hashtbl.replace eliminated v.uid ();
+              set kill i;
+              set eliminated i;
               changed := true;
               List.iter
                 (fun (sv, ms, rs) ->
@@ -1674,33 +1629,25 @@ let compact ?(count = true) t ~(interface : var list) (s : scheme) : scheme =
         end)
       s.locals;
     if !changed then begin
-      let touches uid = Hashtbl.mem kill uid in
-      let kept =
-        List.filter
-          (fun a ->
-            match a with
-            | Avc (v, _, _, _) | Acv (_, v, _, _) -> not (touches v.uid)
-            | Avv (x, y, _, _) -> not (touches x.uid || touches y.uid))
-          !atoms
-      in
+      let kept = List.filter (fun a -> not (touches_killed a)) !atoms in
       atoms := kept @ List.filter fresh_atom (List.rev !extra)
     end
   done;
-  let mentioned = Hashtbl.create (max 8 nl) in
+  let mentioned = Bytes.make n '\000' in
   List.iter
-    (fun a ->
-      let mark v = Hashtbl.replace mentioned v.uid () in
-      match a with
-      | Avc (v, _, _, _) | Acv (_, v, _, _) -> mark v
+    (function
+      | Avc (v, _, _, _) | Acv (_, v, _, _) -> set mentioned (slot v)
       | Avv (x, y, _, _) ->
-          mark x;
-          mark y)
+          set mentioned (slot x);
+          set mentioned (slot y))
     !atoms;
   (* interface variables stay local even when unconstrained: they occur in
      the generalized type and must still be freshened per instance *)
   let locals =
     List.filter
-      (fun v -> Hashtbl.mem iface v.uid || Hashtbl.mem mentioned v.uid)
+      (fun v ->
+        let i = slot v in
+        mem iface i || mem mentioned i)
       s.locals
   in
   if count then begin
@@ -1806,12 +1753,6 @@ let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
       !edges
   done;
   fun id -> (get lo bot id, get hi top id)
-
-(* Replay the full constraint log through the store-free evaluator: an
-   independent oracle for the optimized solver, keyed by original (stable)
-   variable ids. Used by the equivalence property tests. *)
-let naive_bounds t =
-  solve_atoms t.sp (Array.to_list (Array.sub t.log 0 t.nlog))
 
 (* Present a scheme as a constrained type qualifier prefix — the notation
    question raised in Section 6 ("we currently do not have a notation for

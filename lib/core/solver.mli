@@ -20,10 +20,11 @@
     int columns indexed by creation-order id, adjacency is a linked edge
     arena, dedup tables are open-addressing int-keyed hash sets and the
     propagation worklist is an int ring buffer (see DESIGN.md,
-    "Flat-arena solver"). {!Solver_ref} is the pre-arena records +
+    "Flat-arena solver"). The store keeps no atom log: atoms exist only
+    for an active {!recording}. {!Solver_ref} is the pre-arena records +
     [Hashtbl] implementation, kept as the ablation baseline; both expose
-    this same interface and are byte-for-byte observationally
-    equivalent (property-tested). *)
+    this same interface (less {!copy}) and are byte-for-byte
+    observationally equivalent (property-tested). *)
 
 module Elt = Lattice.Elt
 module Space = Lattice.Space
@@ -179,39 +180,20 @@ val instantiate : t -> scheme -> var -> var
     locals (so instances cannot interfere — the existential binding of
     Section 3.2); returns the renaming, the identity on non-locals. *)
 
-(** {1 Batched constraint merge (the what-if store clone)} *)
+(** {1 Store copy (the what-if clone)} *)
 
-type batch
-(** the complete ordered content of a store: every variable in creation
-    order, every atom in insertion order *)
-
-val export : t -> batch
-
-val batch_vars : batch -> int
-val batch_atoms : batch -> int
-
-val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** Replay a batch (typically exported from another store) into [t]:
-    batch variables resolved by [?bind] map to existing variables of [t]
-    and are {e not} re-created; every other batch variable is created
-    fresh in the batch's creation order; then every atom is re-added
-    through the normal [add_leq_*] entry points, so edge/bound dedup and
-    online cycle elimination apply exactly as if the constraints had been
-    generated in [t]. The what-if queries clone the solved store through
-    [export] and [absorb]. Returns the realized renaming ([None] for batch variables
-    the batch did not contain).
-
-    This is the splice-fast path: because {!export} cuts the variable
-    segment straight out of the source arena, a batch variable's creation
-    id is its index in the segment, and the renaming is a flat array
-    lookup instead of a uid-keyed hash table. Semantics are identical to
-    {!absorb_replay}. *)
-
-val absorb_replay :
-  t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** The pre-splice merge: same contract as {!absorb}, renaming through a
-    uid-keyed hash table. Kept as the independent parity oracle the
-    property tests compare the fast path against. *)
+val copy : t -> t * (var -> var)
+(** [copy t] is an independent store in exactly [t]'s state, and the
+    renaming from [t]'s variables to their handles in the copy (the
+    identity on variables of other stores). The used prefix of every
+    variable column, the edge arena, both dedup sets, the dirty set, the
+    error table and the {!stats} counters are copied at their used size;
+    each variable gets a fresh handle with the same {!var_id} and name and
+    a fresh {!var_uid}. Applying the same operations to both stores
+    afterwards yields identical solutions, errors, classifications and
+    counters, and neither store ever observes the other's changes. The
+    copy carries no budget and no active {!recording}. The what-if
+    queries solve a speculative constraint on a copy of the warm store. *)
 
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
@@ -264,12 +246,8 @@ val solve_least_naive : t -> unit
 val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
 (** least/greatest solutions of a bare atom list, computed locally without
     touching any store (unmentioned variables default to (bottom, top));
-    used to summarize schemes in isolation *)
-
-val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
-(** replay the store's full constraint log through {!solve_atoms}: an
-    independent oracle for the optimized solver, keyed by original
-    (stable) {!var_id}s; used by the equivalence property tests *)
+    used to summarize schemes in isolation, and by the property tests as
+    the naive oracle over atoms captured with {!recording} *)
 
 (** {1 Statistics} *)
 
@@ -284,7 +262,9 @@ type stats = {
   full_solves : int;  (** {!solve_from_scratch} runs *)
   worklist_pops : int;  (** total propagation steps across all solves *)
   solve_s : float;  (** wall seconds inside {!solve}/{!solve_from_scratch} *)
-  absorb_s : float;  (** wall seconds inside {!absorb} *)
+  absorb_s : float;
+      (** always [0.]: the store no longer replays batches; kept so that
+          readers of this record keep compiling *)
   congen_s : float;
       (** wall seconds generating constraints (body traversal), excluding
           the nested instantiate time; noted by the client *)

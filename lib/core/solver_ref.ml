@@ -162,9 +162,6 @@ type t = {
          representative at detection time; monotone since constraints are
          only ever added *)
   mutable recorders : atom list ref list;
-  mutable log : atom list;
-      (* every atom ever added, original variables — replayed by
-         [naive_bounds] as an independent oracle *)
   mutable solved : bool;
   dirty : (int, var) Hashtbl.t;
   mutable dirty_order : var list;
@@ -190,7 +187,6 @@ type t = {
   mutable s_full : int;
   mutable s_pops : int;
   mutable s_solve_s : float;
-  mutable s_absorb_s : float;
   mutable s_sv_before : int;
   mutable s_sv_after : int;
   mutable s_se_before : int;
@@ -206,7 +202,6 @@ let create ?(cycle_elim = true) space =
     ground_errors = [];
     errors = Hashtbl.create 16;
     recorders = [];
-    log = [];
     solved = false;
     dirty = Hashtbl.create 64;
     dirty_order = [];
@@ -222,7 +217,6 @@ let create ?(cycle_elim = true) space =
     s_full = 0;
     s_pops = 0;
     s_solve_s = 0.;
-    s_absorb_s = 0.;
     s_sv_before = 0;
     s_sv_after = 0;
     s_se_before = 0;
@@ -248,7 +242,7 @@ let stats t =
     full_solves = t.s_full;
     worklist_pops = t.s_pops;
     solve_s = t.s_solve_s;
-    absorb_s = t.s_absorb_s;
+    absorb_s = 0.;
     congen_s = 0.;
     generalize_s = 0.;
     compact_s = 0.;
@@ -318,10 +312,6 @@ let pp_var ppf v = Fmt.pf ppf "%s#%d" v.vname v.id
 
 let record t atom = List.iter (fun r -> r := atom :: !r) t.recorders
 
-let log_atom t atom =
-  record t atom;
-  t.log <- atom :: t.log
-
 let mark_dirty t v =
   if not (Hashtbl.mem t.dirty v.id) then t.dirty_order <- v :: t.dirty_order;
   Hashtbl.replace t.dirty v.id v
@@ -333,7 +323,7 @@ let mark_dirty t v =
    [hi_reasons] stops growing with the instantiation count. *)
 let add_leq_vc ?reason ?mask t v c =
   let mask = Option.value mask ~default:(Elt.full_mask t.space) in
-  log_atom t (Avc (v, c, mask, reason));
+  record t (Avc (v, c, mask, reason));
   let r = find v in
   let k = (r.id, (c : Elt.t), mask, true) in
   if Hashtbl.mem t.bound_seen k then t.s_dedup <- t.s_dedup + 1
@@ -353,7 +343,7 @@ let add_leq_vc ?reason ?mask t v c =
    bound dedup. *)
 let add_leq_cv ?reason ?mask t c v =
   let mask = Option.value mask ~default:(Elt.full_mask t.space) in
-  log_atom t (Acv (c, v, mask, reason));
+  record t (Acv (c, v, mask, reason));
   let r = find v in
   let k = (r.id, (c : Elt.t), mask, false) in
   if Hashtbl.mem t.bound_seen k then t.s_dedup <- t.s_dedup + 1
@@ -469,7 +459,7 @@ let try_collapse t ra rb =
 let add_leq_vv ?reason ?mask t a b =
   if a != b then begin
     let mask = Option.value mask ~default:(Elt.full_mask t.space) in
-    log_atom t (Avv (a, b, mask, reason));
+    record t (Avv (a, b, mask, reason));
     let ra = find a and rb = find b in
     if ra != rb then begin
       let k = (ra.id, rb.id, mask) in
@@ -846,55 +836,6 @@ let instantiate ?bind t s =
       | Avv (a, b, mask, reason) -> add_leq_vv ?reason ~mask t (rn a) (rn b))
     s.atoms;
   rn
-
-(* ------------------------------------------------------------------ *)
-(* Batched constraint merge (parallel map-reduce support)              *)
-(* ------------------------------------------------------------------ *)
-
-(* A batch is the complete, ordered content of a store: every variable in
-   creation order and every atom in insertion order. Exporting a private
-   worker store and absorbing it into the shared store replays exactly the
-   operations the serial analysis would have performed, so dedup, cycle
-   collapse and the final solution are identical. *)
-type batch = {
-  b_vars : var list;  (* creation order *)
-  b_atoms : atom list;  (* insertion order *)
-}
-
-let export t = { b_vars = List.rev t.vars; b_atoms = List.rev t.log }
-
-let batch_vars b = List.length b.b_vars
-let batch_atoms b = List.length b.b_atoms
-
-(* Replay [b] into [t]. [?bind] resolves batch variables that must map to
-   pre-existing variables of [t] (the worker's mirrors of shared globals);
-   every other batch variable is re-created fresh, {e in the batch's
-   creation order}, so the absorbing store allocates the same number of
-   variables in the same sequence as a serial run that had generated the
-   batch's constraints directly. Returns the realized renaming. *)
-let absorb t ?bind (b : batch) =
-  let t0 = Unix.gettimeofday () in
-  let bound v = match bind with Some f -> f v | None -> None in
-  let map = Hashtbl.create (List.length b.b_vars) in
-  List.iter
-    (fun v ->
-      match bound v with
-      | Some g -> Hashtbl.replace map v.uid g
-      | None -> Hashtbl.replace map v.uid (fresh ~name:v.vname t))
-    b.b_vars;
-  let rn v = match Hashtbl.find_opt map v.uid with Some v' -> v' | None -> v in
-  List.iter
-    (function
-      | Avc (v, c, mask, reason) -> add_leq_vc ?reason ~mask t (rn v) c
-      | Acv (c, v, mask, reason) -> add_leq_cv ?reason ~mask t c (rn v)
-      | Avv (x, y, mask, reason) -> add_leq_vv ?reason ~mask t (rn x) (rn y))
-    b.b_atoms;
-  t.s_absorb_s <- t.s_absorb_s +. (Unix.gettimeofday () -. t0);
-  fun v -> Hashtbl.find_opt map v.uid
-
-(* the reference store has no splice-fast path: both names are the same
-   Hashtbl replay (present so the cores share a signature) *)
-let absorb_replay = absorb
 
 let pp_atom sp ppf = function
   | Avc (v, c, _, _) -> Fmt.pf ppf "%a <= %a" pp_var v (Elt.pp_full sp) c
@@ -1467,11 +1408,6 @@ let solve_atoms sp (atoms : atom list) : int -> Elt.t * Elt.t =
       !edges
   done;
   fun id -> (get lo bot id, get hi top id)
-
-(* Replay the full constraint log through the store-free evaluator: an
-   independent oracle for the optimized solver, keyed by original (stable)
-   variable ids. Used by the equivalence property tests. *)
-let naive_bounds t = solve_atoms t.space (List.rev t.log)
 
 (* Present a scheme as a constrained type qualifier prefix — the notation
    question raised in Section 6 ("we currently do not have a notation for

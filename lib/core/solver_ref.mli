@@ -1,8 +1,8 @@
 (** Pre-arena reference solver (records + [Hashtbl]): the PR 5
     implementation {!Solver} replaced with the flat arena, kept as the
     ablation baseline and as the oracle for the arena parity tests. The
-    interface is identical to {!Solver}'s (minus the batch-content
-    accessor); the one behavioral deviation from the historical code is
+    interface is identical to {!Solver}'s (minus {!Solver.copy}); the
+    one behavioral deviation from the historical code is
     that the dirty set seeds solve worklists in insertion order, making
     [worklist_pops] deterministic and comparable across the two cores.
 
@@ -176,33 +176,6 @@ val instantiate : ?bind:(var -> var option) -> t -> scheme -> var -> var
     the {e other} store's globals — are redirected to this store's mirrors
     rather than used as-is. *)
 
-(** {1 Batched constraint merge (parallel map-reduce)} *)
-
-type batch
-(** the complete ordered content of a store: every variable in creation
-    order, every atom in insertion order *)
-
-val export : t -> batch
-
-val batch_vars : batch -> int
-val batch_atoms : batch -> int
-
-val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** Replay a batch (typically exported from a worker's private store) into
-    [t]: batch variables resolved by [?bind] map to existing variables of
-    [t] (the worker's mirrors of shared globals) and are {e not}
-    re-created; every other batch variable is created fresh in the batch's
-    creation order; then every atom is re-added through the normal
-    [add_leq_*] entry points, so edge/bound dedup and online cycle
-    elimination apply exactly as if the constraints had been generated
-    serially. Returns the realized renaming ([None] for batch variables
-    the batch did not contain). *)
-
-val absorb_replay :
-  t -> ?bind:(var -> var option) -> batch -> var -> var option
-(** alias of {!absorb}: the reference store has no splice-fast path, the
-    name exists so both cores satisfy the test suite's common signature *)
-
 val simplify_scheme : t -> interface:var list -> scheme -> scheme
 (** Simplify a scheme (a basic answer to the open problem of Section 6):
     duplicate and vacuous atoms are dropped, and existentially bound
@@ -253,11 +226,6 @@ val solve_atoms : Space.t -> atom list -> int -> Lattice.Elt.t * Lattice.Elt.t
     touching any store (unmentioned variables default to (bottom, top));
     used to summarize schemes in isolation *)
 
-val naive_bounds : t -> int -> Lattice.Elt.t * Lattice.Elt.t
-(** replay the store's full constraint log through {!solve_atoms}: an
-    independent oracle for the optimized solver, keyed by original
-    (stable) {!var_id}s; used by the equivalence property tests *)
-
 (** {1 Statistics} *)
 
 (** counters accumulated over the store's lifetime *)
@@ -271,7 +239,7 @@ type stats = {
   full_solves : int;  (** {!solve_from_scratch} runs *)
   worklist_pops : int;  (** total propagation steps across all solves *)
   solve_s : float;  (** wall seconds inside {!solve}/{!solve_from_scratch} *)
-  absorb_s : float;  (** wall seconds inside {!absorb} *)
+  absorb_s : float;  (** always [0.], as in {!Solver.stats} *)
   congen_s : float;  (** phase timers: always 0 in this core; see {!Solver} *)
   generalize_s : float;
   compact_s : float;

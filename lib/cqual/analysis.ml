@@ -264,6 +264,8 @@ type env = {
       (** the program's function dependence graph: forced by the
           polymorphic analyses to schedule SCCs, and reused afterwards for
           the run's FDG statistics, so one run builds it at most once. *)
+  release : bool;
+      (** drop each function's body once its SCC is done (see {!run}) *)
 }
 
 let warn env msg = env.warnings <- msg :: env.warnings
@@ -834,7 +836,7 @@ let analyze_body env (f : Cast.fundef) (iface : fsig) =
 (* ------------------------------------------------------------------ *)
 
 let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
-    ?budget mode (prog : Cprog.t) : env =
+    ?budget ?(release = false) mode (prog : Cprog.t) : env =
   let store = Solver.create rules.qr_space in
   Solver.set_budget store budget;
   {
@@ -857,7 +859,14 @@ let make_env ?(rules = const_rules) ?(field_sharing = true) ?(compact = true)
     imemo = Hashtbl.create 64;
     memo_ok = Hashtbl.create 16;
     fdg = lazy (Fdg.build prog);
+    release;
   }
+
+(* A releasing run empties each body the analysis will never read again.
+   The fundef record is the one the program tables, the link order and the
+   unit parses share, so the body becomes garbage everywhere at once. *)
+let release_bodies env (fs : Cast.fundef list) =
+  if env.release then List.iter (fun (f : Cast.fundef) -> f.f_body <- []) fs
 
 (* Credit a wall-clock window to one of the per-phase stats columns,
    minus whatever the solver already credited to the nested phases
@@ -930,9 +939,9 @@ let analyze_global_inits env =
         (Cprog.global_vars env.prog))
 
 (** Monomorphic const inference (the "Mono" column of Table 2). *)
-let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
+let run_mono ?rules ?field_sharing ?compact ?budget ?release (prog : Cprog.t) :
     env * (Sym.t * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget Mono prog in
+  let env = make_env ?rules ?field_sharing ?compact ?budget ?release Mono prog in
   build_global_env env;
   let funs = Cprog.functions prog in
   (* pass 1: interfaces, so calls in any order link directly; a function
@@ -949,14 +958,17 @@ let run_mono ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
             | None -> None)
           funs)
   in
+  (* the run's FDG statistics read the bodies: build it before they go *)
+  if env.release then ignore (Lazy.force env.fdg : Fdg.t);
   (* pass 2: bodies *)
   timed_phase env Solver.Congen (fun () ->
       List.iter
         (fun (f : Cast.fundef) ->
-          match Sym.Tbl.find_opt env.funs f.f_name with
+          (match Sym.Tbl.find_opt env.funs f.f_name with
           | Some (FMono s) ->
               ignore (guarded env f.f_name (fun () -> analyze_body env f s))
-          | _ -> ())
+          | _ -> ());
+          release_bodies env [ f ])
         funs);
   analyze_global_inits env;
   (env, ifaces)
@@ -1081,7 +1093,7 @@ let poly_scc env ~is_global ~simplify members : (Cast.fundef * fsig) list =
    SCC: members are generalized together, so a failure in any of them
    invalidates the whole component's scheme, and callers of a degraded
    member fall back to the conservative library treatment. *)
-let run_sccs ?rules ?field_sharing ?compact ?budget mode
+let run_sccs ?rules ?field_sharing ?compact ?budget ?release mode
     ~(process :
        env ->
        is_global:(Solver.var -> bool) ->
@@ -1089,8 +1101,19 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
        Cast.fundef list ->
        (Cast.fundef * fsig) list) (prog : Cprog.t) :
     env * (Sym.t * fsig) list =
-  let env = make_env ?rules ?field_sharing ?compact ?budget mode prog in
+  let env = make_env ?rules ?field_sharing ?compact ?budget ?release mode prog in
   build_global_env env;
+  let fdg = Lazy.force env.fdg in
+  (* a definition shadowed by a later one of the same name is never
+     analyzed (last definition wins) *)
+  if env.release then
+    release_bodies env
+      (List.filter
+         (fun (f : Cast.fundef) ->
+           match Cprog.find_fun prog f.f_name with
+           | Some g -> g != f
+           | None -> true)
+         (Cprog.functions prog));
   (* variables created so far (globals, struct fields) are monomorphic,
      and so are the auto globals that arrive later *)
   let global_watermark = Solver.num_vars env.store in
@@ -1111,7 +1134,7 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
       let members =
         List.filter_map (fun name -> Cprog.find_fun prog name) scc
       in
-      match budget_reason env with
+      (match budget_reason env with
       | Some r -> degrade_scc members ("budget exhausted: " ^ r)
       | None -> (
           match process env ~is_global scc members with
@@ -1122,8 +1145,10 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
                 (fun ((f : Cast.fundef), s) ->
                   mark_analyzed env f.f_name;
                   ifaces := (f.f_name, s) :: !ifaces)
-                scc_ifaces))
-    (Lazy.force env.fdg).Fdg.sccs;
+                scc_ifaces));
+      (* the SCC's scheme is registered: its bodies are never read again *)
+      release_bodies env members)
+    fdg.Fdg.sccs;
   analyze_global_inits env;
   (env, List.rev !ifaces)
 
@@ -1131,8 +1156,8 @@ let run_sccs ?rules ?field_sharing ?compact ?budget mode
     the FDG processed callees-first; each SCC's constraints are captured
     and generalized into one scheme shared by its members. *)
 let run_poly ?rules ?field_sharing ?(simplify = false) ?compact ?budget
-    (prog : Cprog.t) : env * (Sym.t * fsig) list =
-  run_sccs ?rules ?field_sharing ?compact ?budget Poly prog
+    ?release (prog : Cprog.t) : env * (Sym.t * fsig) list =
+  run_sccs ?rules ?field_sharing ?compact ?budget ?release Poly prog
     ~process:(fun env ~is_global _ members ->
       poly_scc env ~is_global ~simplify members)
 
@@ -1239,21 +1264,27 @@ let polyrec_scc env ~is_global prog scc members : (Cast.fundef * fsig) list =
     reach a fixed point. Termination: the summaries form a finite domain
     and the iteration is capped (the cap is never reached in practice;
     the fixed point typically arrives by the second round). *)
-let run_polyrec ?rules ?field_sharing ?compact ?budget (prog : Cprog.t) :
-    env * (Sym.t * fsig) list =
-  run_sccs ?rules ?field_sharing ?compact ?budget Polyrec prog
+let run_polyrec ?rules ?field_sharing ?compact ?budget ?release
+    (prog : Cprog.t) : env * (Sym.t * fsig) list =
+  run_sccs ?rules ?field_sharing ?compact ?budget ?release Polyrec prog
     ~process:(fun env ~is_global scc members ->
       polyrec_scc env ~is_global prog scc members)
 
-(** Run an analysis. [jobs] is accepted and ignored: the analysis is
-    serial (the frontend parse is what [--jobs] parallelizes). It remains
-    only because the perfbench tool still passes it. *)
-let run ?rules ?field_sharing ?simplify ?compact ?budget
+(** Run an analysis. [release] (default [false]) empties every defined
+    function's body once the run no longer needs it: after its SCC's
+    scheme is registered (poly/polyrec), after its body pass (mono, which
+    builds the FDG first). The program keeps every declaration, so the
+    report is unchanged, but a released program cannot be analyzed again:
+    only one-shot batch runs pass it. [jobs] is accepted and ignored: the
+    analysis is serial. It remains only because the perfbench tool still
+    passes it. *)
+let run ?rules ?field_sharing ?simplify ?compact ?budget ?release
     ?jobs:(_ : int option) mode prog =
   match mode with
-  | Mono -> run_mono ?rules ?field_sharing ?compact ?budget prog
-  | Poly -> run_poly ?rules ?field_sharing ?simplify ?compact ?budget prog
-  | Polyrec -> run_polyrec ?rules ?field_sharing ?compact ?budget prog
+  | Mono -> run_mono ?rules ?field_sharing ?compact ?budget ?release prog
+  | Poly ->
+      run_poly ?rules ?field_sharing ?simplify ?compact ?budget ?release prog
+  | Polyrec -> run_polyrec ?rules ?field_sharing ?compact ?budget ?release prog
 
 (** Solver statistics accumulated by the analysis (see {!Solver.stats}). *)
 let stats (env : env) = Solver.stats env.store

@@ -167,12 +167,12 @@ let load_marshal (type a) (c : Cache.t) ~kind ~key ~deps : a option =
 
 (* analysis + measurement, also returning the live interfaces and the
    classified positions the persistent session indexes *)
-let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode prog
-    =
+let analyze ?rules ?field_sharing ?simplify ?compact ?budget ?release ?locate
+    mode prog =
   let (env, ifaces), t =
     time (fun () ->
-        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget mode
-          prog)
+        Analysis.run ?rules ?field_sharing ?simplify ?compact ?budget ?release
+          mode prog)
   in
   let st = env.Analysis.store in
   let solve0 = (Typequal.Solver.stats st).solve_s in
@@ -201,14 +201,14 @@ type compiled = {
   co_frontend : frontend_stats option;
 }
 
-let finish ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
-    (co : compiled) =
+let finish ?rules ?field_sharing ?simplify ?compact ?budget ?release ?locate
+    mode (co : compiled) =
   let env, ifaces, results, classified, t_analysis =
-    analyze ?rules ?field_sharing ?simplify ?compact ?budget ?locate mode
-      co.co_prog
+    analyze ?rules ?field_sharing ?simplify ?compact ?budget ?release ?locate
+      mode co.co_prog
   in
   (* the graph the polymorphic analyses scheduled from (built here only
-     for mono, which never needed it) *)
+     by a mono run that kept its bodies, which never needed it) *)
   let fdg = Lazy.force env.Analysis.fdg in
   let results =
     {
@@ -652,8 +652,10 @@ let run_sources ?(mode = Analysis.Mono) ?rules ?field_sharing ?simplify
   | Some cr -> run_of_cached cr ~t_lookup:(Unix.gettimeofday () -. t0)
   | None ->
       let co, unit_of_tbl = compile_units ?cache ~me files in
+      (* the program is analyzed once and dropped: each body can go as
+         soon as its SCC is done *)
       let run, _, _, _ =
-        finish ?rules ?field_sharing ?simplify ?compact ?budget
+        finish ?rules ?field_sharing ?simplify ?compact ?budget ~release:true
           ~locate:(locate_of_tbl unit_of_tbl) mode co
       in
       (match cache with
@@ -906,11 +908,11 @@ let verdict_of_solver = function
 
 (** "What breaks if I add [$qual] here?" — split into a prepare step
     and an evaluation thunk, so the perfbench tool can time them apart.
-    The prepare step snapshots the warm store ({!Solver.export}) and the
-    baseline verdicts. The returned thunk clones the snapshot into a
-    private store, adds the speculative annotation as a lower bound,
-    re-solves incrementally, and diffs every position's verdict; it
-    touches no session state, so it may run any number of times. *)
+    The prepare step records the baseline verdicts. The returned thunk
+    copies the warm store ({!Solver.copy}), adds the speculative
+    annotation to the copy as a lower bound, re-solves incrementally, and
+    diffs every position's verdict; it touches no session state, so it
+    may run any number of times. *)
 let whatif_task ?mode t ~qual key :
     ((unit -> whatif_result), string) result =
   let ms = ensure_mode t (mode_of t mode) in
@@ -922,7 +924,6 @@ let whatif_task ?mode t ~qual key :
       match Lat.Space.find_opt sp qual with
       | None -> Result.Error (Printf.sprintf "unknown qualifier %S" qual)
       | Some _ ->
-          let batch = Solver.export store in
           let snapshot =
             List.map
               (fun (k, (p : Report.position), _, var) ->
@@ -935,9 +936,7 @@ let whatif_task ?mode t ~qual key :
           let errors_before = List.length (Solver.last_errors store) in
           Ok
             (fun () ->
-              let clone = Solver.create sp in
-              let rename = Solver.absorb clone batch in
-              let tr v = Option.value (rename v) ~default:v in
+              let clone, tr = Solver.copy store in
               Solver.add_leq_cv
                 ~reason:(Printf.sprintf "whatif $%s at %s" qual key)
                 ~mask:(Lat.Elt.mask_of_names sp [ qual ])

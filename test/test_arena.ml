@@ -1,9 +1,9 @@
 (* Parity of the flat-arena solver core against the pre-arena reference
    store (Solver_ref, the PR 5 implementation kept verbatim): identical
    op sequences must produce byte-identical counters, solutions, and
-   error messages — serially and through the export/absorb batch path
-   the what-if store clone uses. Plus determinism of the multi-file cbench
-   corpora and the multi-file driver entry point. *)
+   error messages — serially and across a store copy (the what-if
+   clone). Plus determinism of the multi-file cbench corpora and the
+   multi-file driver entry point. *)
 
 open Typequal
 module Sp = Lattice.Space
@@ -18,7 +18,6 @@ module type CORE = sig
   type t
   type var
   type error
-  type batch
 
   type stats = {
     vars_created : int;
@@ -65,11 +64,6 @@ module type CORE = sig
   val least : t -> var -> E.t
   val greatest : t -> var -> E.t
   val stats : t -> stats
-  val export : t -> batch
-  val absorb : t -> ?bind:(var -> var option) -> batch -> var -> var option
-
-  val absorb_replay :
-    t -> ?bind:(var -> var option) -> batch -> var -> var option
 end
 
 module Arena : CORE = Typequal.Solver
@@ -156,18 +150,6 @@ module Drive (C : CORE) = struct
     | Solve -> ignore (C.solve st)
     | Full -> ignore (C.solve_from_scratch st)
 
-  (* per-variable solutions: the semantic observables the splice
-     invariant promises to preserve *)
-  let solutions sp st vars =
-    let b = Buffer.create 512 in
-    Array.iteri
-      (fun i v ->
-        Buffer.add_string b
-          (Fmt.str "%d: %a / %a\n" i (E.pp sp) (C.least st v) (E.pp sp)
-             (C.greatest st v)))
-      vars;
-    Buffer.contents b
-
   (* counters (wall-clock and machine fields excluded), per-variable
      solutions, and error messages — the full observable state *)
   let digest sp st vars =
@@ -191,49 +173,12 @@ module Drive (C : CORE) = struct
       (C.last_errors st);
     Buffer.contents b
 
-  let run_serial ?(observe = digest) sp n ops =
+  let run_serial sp n ops =
     let st = C.create sp in
     let v = Array.init n (fun _ -> C.fresh st) in
     List.iter (apply st v) ops;
     ignore (C.solve st);
-    observe sp st v
-
-  (* the batch path: build in one store, export the batch, splice it
-     into a fresh main store, then observe through the returned
-     renaming *)
-  let run_batched ?(observe = digest) sp n ops =
-    let w = C.create sp in
-    let v = Array.init n (fun _ -> C.fresh w) in
-    List.iter (apply w v) ops;
-    let batch = C.export w in
-    let main = C.create sp in
-    let look = C.absorb main batch in
-    ignore (C.solve main);
-    let v' = Array.map (fun x -> Option.get (look x)) v in
-    observe sp main v'
-
-  (* splice-fast absorb vs the Hashtbl-replay oracle, including bound
-     variables: the first [n/3] batch variables resolve to pre-existing
-     variables of the main store through [?bind] *)
-  let run_merge ~replay ?(observe = digest) sp n ops =
-    let w = C.create sp in
-    let v = Array.init n (fun _ -> C.fresh w) in
-    List.iter (apply w v) ops;
-    let batch = C.export w in
-    let main = C.create sp in
-    let k = n / 3 in
-    let pre = Array.init k (fun _ -> C.fresh main) in
-    let bind x =
-      let r = ref None in
-      Array.iteri (fun i y -> if i < k && x == y then r := Some pre.(i)) v;
-      !r
-    in
-    let look =
-      (if replay then C.absorb_replay else C.absorb) main ~bind batch
-    in
-    ignore (C.solve main);
-    let v' = Array.map (fun x -> Option.get (look x)) v in
-    observe sp main v'
+    digest sp st v
 end
 
 module DA = Drive (Arena)
@@ -245,34 +190,115 @@ let prop_serial_parity =
     scenario_gen
     (fun (sp, n, ops) -> DA.run_serial sp n ops = DR.run_serial sp n ops)
 
-let prop_batch_parity =
-  QCheck2.Test.make ~count:200
-    ~name:"arena = pre-arena store through export/absorb (batch splice)"
-    scenario_gen
-    (fun (sp, n, ops) -> DA.run_batched sp n ops = DR.run_batched sp n ops)
+(* ------------------------------------------------------------------ *)
+(* Store copy: the what-if clone                                       *)
+(* ------------------------------------------------------------------ *)
 
-let prop_absorb_fast_eq_replay =
-  (* the PR 8 splice-fast absorb must be observationally identical to the
-     retained Hashtbl-replay path: counters, solutions and errors, with
-     [?bind] bindings in play *)
-  QCheck2.Test.make ~count:200
-    ~name:"arena: splice-fast absorb = replay absorb (counters, bindings)"
-    scenario_gen
-    (fun (sp, n, ops) ->
-      DA.run_merge ~replay:false sp n ops
-      = DA.run_merge ~replay:true sp n ops)
+module S = Typequal.Solver
+module DS = Drive (S)
 
-let prop_serial_eq_batch =
-  (* absorbing a whole store into an empty one renames but must not
-     change any solution (the splice invariant DESIGN.md states).
-     Counters are excluded: Solve ops in the sequence run in the worker
-     store, so the main store's solve cadence legitimately differs. *)
+(* a scenario plus a cut point into its op list *)
+let cut_gen : (Sp.t * int * op list * int) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* sp, n, ops = scenario_gen in
+  let* k = int_bound (List.length ops) in
+  return (sp, n, ops, k)
+
+(* the arena digest plus every coordinate's classification *)
+let copy_observe sp st vars =
+  DS.digest sp st vars
+  ^ String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun v ->
+              String.concat " "
+                (List.init (Sp.size sp) (fun i ->
+                     Fmt.str "%a" S.pp_verdict (S.classify st v i)))
+              ^ "\n")
+            vars))
+
+(* Build the first [k] ops into a store, copy it, then apply the rest to
+   the copy {e first} and to the original second: a copy sharing any
+   mutable state with its source (a dedup set, a column, the error
+   table) would make the original's replay diverge. Returns the
+   original's and the copy's observations. *)
+let run_cut sp n ops k =
+  let st = S.create sp in
+  let v = Array.init n (fun _ -> S.fresh st) in
+  let prefix = List.filteri (fun i _ -> i < k) ops
+  and suffix = List.filteri (fun i _ -> i >= k) ops in
+  List.iter (DS.apply st v) prefix;
+  let c, rn = S.copy st in
+  let vc = Array.map rn v in
+  List.iter (DS.apply c vc) suffix;
+  List.iter (DS.apply st v) suffix;
+  (copy_observe sp st v, copy_observe sp c vc)
+
+let prop_copy_at_cut =
+  QCheck2.Test.make ~count:300
+    ~name:"arena: copy at a random cut = the original (solutions, errors, classify, counters)"
+    cut_gen
+    (fun (sp, n, ops, k) ->
+      let orig, copied = run_cut sp n ops k in
+      orig = copied)
+
+let prop_copy_parity =
+  (* the copy continues exactly where the source stood: a cut run
+     observed on the copy equals the pre-arena store's uncut serial run,
+     counters included *)
   QCheck2.Test.make ~count:200
-    ~name:"arena: batch splice preserves the serial solutions"
-    scenario_gen
-    (fun (sp, n, ops) ->
-      DA.run_serial ~observe:DA.solutions sp n ops
-      = DA.run_batched ~observe:DA.solutions sp n ops)
+    ~name:"arena copy at a cut = pre-arena store, serial"
+    cut_gen
+    (fun (sp, n, ops, k) ->
+      let st = S.create sp in
+      let v = Array.init n (fun _ -> S.fresh st) in
+      List.iteri (fun i o -> if i < k then DS.apply st v o) ops;
+      let c, rn = S.copy st in
+      let vc = Array.map rn v in
+      List.iteri (fun i o -> if i >= k then DS.apply c vc o) ops;
+      ignore (S.solve c);
+      DS.digest sp c vc = DR.run_serial sp n ops)
+
+(* A what-if query solves a speculative bound on a copy of the warm
+   store: the session's own store must keep its solutions and its error
+   count. Observed through the live store: [explain] walks it, and a
+   later what-if reads its verdicts and error count as the baseline, so
+   both must equal a fresh session's answers. *)
+let test_whatif_leaves_store () =
+  let units =
+    Cbench.Programs.miniproject
+    @ [ ("viol.c", "void vf(const char *s) { char *p; p = s; *p = 'x'; }\n") ]
+  in
+  let warm = Cqual.Session.create units in
+  let keys = List.map (fun (k, _, _) -> k) (Cqual.Session.positions warm) in
+  Alcotest.(check bool) "have keys" true (List.length keys > 4);
+  let explain t =
+    List.map
+      (fun k ->
+        match Cqual.Session.explain t k with
+        | Ok (_, v, why) -> Fmt.str "%s %a %a" k Cqual.Report.pp_verdict v
+                              Fmt.(option string) why
+        | Error e -> e)
+      keys
+  in
+  let whatif t k =
+    match Cqual.Session.whatif t ~qual:"const" k with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let before = explain warm in
+  List.iter (fun k -> ignore (whatif warm k)) keys;
+  Alcotest.(check (list string)) "explain unchanged" before (explain warm);
+  let fresh = Cqual.Session.create units in
+  List.iter
+    (fun k ->
+      let w = whatif warm k and f = whatif fresh k in
+      Alcotest.(check int) (k ^ ": errors before") f.Cqual.Session.w_errors_before
+        w.Cqual.Session.w_errors_before;
+      Alcotest.(check bool) (k ^ ": same answer") true (w = f))
+    keys;
+  Alcotest.(check bool) "the violation is still reported" true
+    ((whatif warm (List.hd keys)).Cqual.Session.w_errors_before > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-file corpora: determinism and the driver entry point          *)
@@ -328,9 +354,10 @@ let test_scale_corpus_parity () =
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_serial_parity;
-    QCheck_alcotest.to_alcotest prop_batch_parity;
-    QCheck_alcotest.to_alcotest prop_absorb_fast_eq_replay;
-    QCheck_alcotest.to_alcotest prop_serial_eq_batch;
+    QCheck_alcotest.to_alcotest prop_copy_at_cut;
+    QCheck_alcotest.to_alcotest prop_copy_parity;
+    Alcotest.test_case "whatif leaves the warm store unchanged" `Quick
+      test_whatif_leaves_store;
     Alcotest.test_case "multi-file project generation deterministic" `Quick
       test_project_deterministic;
     Alcotest.test_case "multi-file project shape and analyzability" `Slow

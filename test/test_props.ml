@@ -368,7 +368,8 @@ let tests =
 (* Random interleaved add/query sequences, masked constraints included.
    The optimized store (cycle elimination on, queries forcing incremental
    re-solves mid-stream) must agree with (1) a cycle-elimination-off store
-   solved from scratch at the end, (2) the constraint-log replay oracle,
+   solved from scratch at the end, (2) the naive evaluation of the atoms
+   captured by {!S.recording},
    and (3) the round-robin naive least-solution pass — on satisfiability
    and on the least/greatest solution of every variable. *)
 
@@ -406,29 +407,35 @@ let prop_optimized_equals_naive =
       let base = S.create ~cycle_elim:false sp in
       let vo = Array.init nvars (fun _ -> S.fresh opt) in
       let vb = Array.init nvars (fun _ -> S.fresh base) in
-      List.iter
-        (fun o ->
-          match o with
-          | OEdge (a, b, m) ->
-              let mask = mask_of m in
-              S.add_leq_vv ~mask opt vo.(a) vo.(b);
-              S.add_leq_vv ~mask base vb.(a) vb.(b)
-          | OLower (x, e, m) ->
-              let mask = mask_of m and e = e land full in
-              S.add_leq_cv ~mask opt e vo.(x);
-              S.add_leq_cv ~mask base e vb.(x)
-          | OUpper (x, e, m) ->
-              let mask = mask_of m and e = e land full in
-              S.add_leq_vc ~mask opt vo.(x) e;
-              S.add_leq_vc ~mask base vb.(x) e
-          | OQuery x ->
-              (* forces an incremental solve mid-stream in [opt] only *)
-              ignore (S.least opt vo.(x));
-              ignore (S.greatest opt vo.(x)))
-        ops;
+      (* the naive oracle evaluates every atom [opt] was given, captured
+         as it was added (before dedup or cycle collapse could drop it) *)
+      let (), atoms =
+        S.recording opt (fun () ->
+            List.iter
+              (fun o ->
+                match o with
+                | OEdge (a, b, m) ->
+                    let mask = mask_of m in
+                    S.add_leq_vv ~mask opt vo.(a) vo.(b);
+                    S.add_leq_vv ~mask base vb.(a) vb.(b)
+                | OLower (x, e, m) ->
+                    let mask = mask_of m and e = e land full in
+                    S.add_leq_cv ~mask opt e vo.(x);
+                    S.add_leq_cv ~mask base e vb.(x)
+                | OUpper (x, e, m) ->
+                    let mask = mask_of m and e = e land full in
+                    S.add_leq_vc ~mask opt vo.(x) e;
+                    S.add_leq_vc ~mask base vb.(x) e
+                | OQuery x ->
+                    (* forces an incremental solve mid-stream in [opt]
+                       only *)
+                    ignore (S.least opt vo.(x));
+                    ignore (S.greatest opt vo.(x)))
+              ops)
+      in
       let sat_opt = Result.is_ok (S.solve opt) in
       let sat_base = Result.is_ok (S.solve_from_scratch base) in
-      let nb = S.naive_bounds opt in
+      let nb = S.solve_atoms sp atoms in
       let ok = ref (sat_opt = sat_base) in
       Array.iteri
         (fun i v ->

@@ -414,6 +414,109 @@ let test_parse_request () =
       | Error e -> Alcotest.fail ("response not JSON: " ^ e))
     [ ok; err ]
 
+(* ---------------- body release in one-shot runs ---------------- *)
+
+(* [run_sources] analyzes its program once, so it drops each function's
+   body after the function's SCC; a persistent session keeps its
+   program for later modes and queries. Neither may change a report. *)
+
+(* a generated project, plus a function defined twice: the later
+   definition wins and the shadowed body is never analyzed *)
+let release_units =
+  Cbench.Gen.generate_project ~seed:0xB0D ~target_lines:3_000 ()
+  @ [
+      ("dup_a.c", "int dup_f(int *p) { return *p; }\nint dup_g(int *q) { return dup_f(q); }\n");
+      ("dup_b.c", "int dup_f(int *p) { *p = 1; return 0; }\n");
+    ]
+
+let modes =
+  [ ("mono", Analysis.Mono); ("poly", Analysis.Poly); ("polyrec", Analysis.Polyrec) ]
+
+let test_release_render_parity () =
+  List.iter
+    (fun (mname, mode) ->
+      let cold = Session.run_sources ~mode release_units in
+      let warm = Session.create ~mode release_units in
+      Alcotest.(check string)
+        (mname ^ ": render")
+        (Session.render ~positions:true ~name:"p" warm)
+        (Session.render_run ~positions:true ~name:"p" mode cold);
+      Alcotest.(check string)
+        (mname ^ ": counters and outcomes")
+        (Test_parallel.digest (Session.run warm))
+        (Test_parallel.digest cold))
+    modes
+
+(* weak pointers to every non-empty body of the program *)
+let weak_bodies (prog : Cfront.Cprog.t) =
+  let funs =
+    List.filter
+      (fun (f : Cfront.Cast.fundef) -> f.f_body <> [])
+      (Cfront.Cprog.functions prog)
+  in
+  let w = Weak.create (List.length funs) in
+  List.iteri (fun i (f : Cfront.Cast.fundef) -> Weak.set w i (Some f.f_body)) funs;
+  w
+
+let live w =
+  let n = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr n
+  done;
+  !n
+
+(* After a releasing run no body survives a major collection, although
+   the program, the analysis environment and the report stay alive; the
+   same run without release keeps every body (the control that makes the
+   weak pointers meaningful). *)
+let test_release_unreachable () =
+  List.iter
+    (fun (mname, mode) ->
+      let check release =
+        let co = Session.compile_sources release_units in
+        let w = weak_bodies co.Session.co_prog in
+        Alcotest.(check bool) (mname ^ ": bodies to release") true
+          (Weak.length w > 10);
+        let env, ifaces = Analysis.run ~release mode co.Session.co_prog in
+        let r = Report.measure env ifaces in
+        Gc.full_major ();
+        let n = live w in
+        ignore (Sys.opaque_identity (co, env, r));
+        (n, Weak.length w)
+      in
+      let n, total = check false in
+      Alcotest.(check int) (mname ^ ": kept without release") total n;
+      let n, _ = check true in
+      Alcotest.(check int) (mname ^ ": reachable after release") 0 n)
+    modes
+
+(* A session analyzes its program in several modes and answers what-if
+   queries from it: a session that runs poly, then polyrec, then a
+   what-if, must answer as cold runs do. *)
+let test_session_never_released () =
+  let t = Session.create ~mode:Analysis.Poly release_units in
+  let poly = Session.run ~mode:Analysis.Poly t in
+  let polyrec = Session.run ~mode:Analysis.Polyrec t in
+  let key =
+    match Session.positions ~mode:Analysis.Poly t with
+    | (k, _, _) :: _ -> k
+    | [] -> Alcotest.fail "no positions"
+  in
+  let whatif t =
+    match Session.whatif ~mode:Analysis.Poly t ~qual:"const" key with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let w = whatif t in
+  List.iter
+    (fun (mname, mode, r) ->
+      Alcotest.(check string) (mname ^ ": = cold run")
+        (Test_parallel.digest (Session.run_sources ~mode release_units))
+        (Test_parallel.digest r))
+    [ ("poly", Analysis.Poly, poly); ("polyrec", Analysis.Polyrec, polyrec) ];
+  Alcotest.(check bool) "whatif = a fresh session's" true
+    (w = whatif (Session.create ~mode:Analysis.Poly release_units))
+
 let tests =
   [
     Alcotest.test_case "replay: clean corpus, serial" `Quick
@@ -442,4 +545,10 @@ let tests =
     Alcotest.test_case "wire: malformed input" `Quick test_wire_errors;
     Alcotest.test_case "wire: request/response framing" `Quick
       test_parse_request;
+    Alcotest.test_case "release: run_sources = session render, every mode"
+      `Quick test_release_render_parity;
+    Alcotest.test_case "release: no body reachable after a releasing run"
+      `Quick test_release_unreachable;
+    Alcotest.test_case "release: a session's program is never released"
+      `Quick test_session_never_released;
   ]

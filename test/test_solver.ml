@@ -515,19 +515,23 @@ let test_incremental_matches_scratch () =
   let sp = space () in
   let st = S.create sp in
   let vars = Array.init 40 (fun _ -> S.fresh st) in
-  for i = 0 to 38 do
-    S.add_leq_vv st vars.(i) vars.((i * 11 + 5) mod 40)
-  done;
-  S.add_leq_cv st (const_elt sp) vars.(3);
-  ignore (S.solve st);
-  (* grow after the first solve, querying between additions so the
-     incremental path is exercised repeatedly *)
-  for i = 0 to 9 do
-    S.add_leq_vv st vars.(i) vars.(39 - i);
-    ignore (S.least st vars.(39 - i))
-  done;
-  S.add_leq_vc st vars.(7) (E.not_name sp "const");
-  ignore (S.solve st);
+  (* every atom added, captured for the naive oracle below *)
+  let (), atoms =
+    S.recording st (fun () ->
+        for i = 0 to 38 do
+          S.add_leq_vv st vars.(i) vars.((i * 11 + 5) mod 40)
+        done;
+        S.add_leq_cv st (const_elt sp) vars.(3);
+        ignore (S.solve st);
+        (* grow after the first solve, querying between additions so the
+           incremental path is exercised repeatedly *)
+        for i = 0 to 9 do
+          S.add_leq_vv st vars.(i) vars.(39 - i);
+          ignore (S.least st vars.(39 - i))
+        done;
+        S.add_leq_vc st vars.(7) (E.not_name sp "const");
+        ignore (S.solve st))
+  in
   let lo = Array.map (S.least st) vars in
   let hi = Array.map (S.greatest st) vars in
   (* the fixpoint is unique: a from-scratch solve must agree *)
@@ -539,8 +543,9 @@ let test_incremental_matches_scratch () =
       Alcotest.(check bool) (Printf.sprintf "hi %d" i) true
         (E.equal hi.(i) (S.greatest st v)))
     vars;
-  (* and the constraint-log replay oracle agrees, by original var id *)
-  let nb = S.naive_bounds st in
+  (* and the naive evaluation of the recorded atoms agrees, by original
+     var id *)
+  let nb = S.solve_atoms sp atoms in
   Array.iteri
     (fun i v ->
       let l, h = nb (S.var_id v) in
